@@ -70,7 +70,6 @@ from .wavefunction import (
     hulthen_wavefunction,
     hyp_integral,
     jacobi,
-    log_gamma,
     normalization_constant,
     radial_value,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "ev_pm_units", "get_molecule", "molecular_units", "molecule_registry",
     "parse_registry_file",
     "RadialWavefunction", "build_radial_wavefunction", "hulthen_wavefunction",
-    "hyp_integral", "jacobi", "log_gamma", "normalization_constant",
-    "radial_value",
+    "hyp_integral", "jacobi", "normalization_constant", "radial_value",
     "__version__",
 ]

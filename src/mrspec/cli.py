@@ -10,9 +10,9 @@ scientific notation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,24 +128,10 @@ def _b_of(args) -> float:
     return 1.0 / args.inv_b if args.b is None else args.b
 
 
-@dataclass
-class _Sink:
-    handle: object
-    close_me: bool
-
-    def __enter__(self):
-        return self.handle
-
-    def __exit__(self, *exc):
-        if self.close_me:
-            self.handle.close()
-        return False
-
-
-def _open_output(path: str | None) -> _Sink:
+def _open_output(path: str | None):
     if path in (None, "-"):
-        return _Sink(sys.stdout, False)
-    return _Sink(open(path, "w", newline="", encoding="utf-8"), True)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", newline="", encoding="utf-8")
 
 
 def _make_writer(handle, fmt: str):
@@ -265,19 +251,17 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _oracle_energies(params, u, states, scheme, grid_points):
-    """Finite-difference energies keyed by (n, l); missing key means unbound."""
-    by_l: dict[int, int] = {}
+def _oracle_by_l(params, u, states, scheme, grid_points):
+    """One finite-difference solve per l, for every n up to the deepest requested."""
+    n_max: dict[int, int] = {}
     for s in states:
-        by_l[s.l] = max(by_l.get(s.l, -1), s.n)
-    out: dict[tuple[int, int], float] = {}
-    for l in sorted(by_l):
+        n_max[s.l] = max(n_max.get(s.l, -1), s.n)
+    by_l: dict[int, oracle.NumericalSpectrum] = {}
+    for l in sorted(n_max):
         rp = oracle.default_problem(params, u, l, scheme,
-                                    grid_points=grid_points, n_max=by_l[l])
-        result = oracle.solve(rp, by_l[l] + 1)
-        for n, ev in enumerate(result.eigenvalues):
-            out[(n, l)] = ev
-    return out
+                                    grid_points=grid_points, n_max=n_max[l])
+        by_l[l] = oracle.solve(rp, n_max[l] + 1)
+    return by_l
 
 
 def cmd_table(args) -> int:
@@ -322,9 +306,12 @@ def cmd_table(args) -> int:
                     params = PotentialParams(A=2.0 * b, alpha=alpha, b=b)
                     for scheme_name in ("greene_aldrich", "exact"):
                         scheme = GREENE_ALDRICH if scheme_name == "greene_aldrich" else EXACT
-                        oracle_cache[(inv_b, mol_name, alpha, scheme_name)] = _oracle_energies(
-                            params, u, states, scheme, args.grid_points
-                        )
+                        by_l = _oracle_by_l(params, u, states, scheme, args.grid_points)
+                        # (n, l) -> energy; a missing key means unbound
+                        oracle_cache[(inv_b, mol_name, alpha, scheme_name)] = {
+                            (n, l): ev for l, result in by_l.items()
+                            for n, ev in enumerate(result.eigenvalues)
+                        }
 
     with _open_output(args.output) as fh:
         w = _make_writer(fh, args.format)
@@ -404,51 +391,37 @@ def cmd_compare(args) -> int:
     schemes = {"greene_aldrich": [GREENE_ALDRICH], "exact": [EXACT],
                "both": [GREENE_ALDRICH, EXACT]}[args.scheme]
 
-    failed = False
+    failing: list[str] = []
     with _open_output(args.output) as fh:
         w = _make_writer(fh, args.format)
         w.writerow(["scheme", "state", "n", "l", "analytic", "numeric",
                     "abs_dev", "rel_dev", "converged", "pass"])
         for scheme in schemes:
             tol = args.tol_ga if scheme.kind == "greene_aldrich" else args.tol_exact
-            by_l: dict[int, int] = {}
-            for s in states:
-                by_l[s.l] = max(by_l.get(s.l, -1), s.n)
             reports: dict[int, oracle.ComparisonReport] = {}
-            present: dict[int, int] = {}
-            for l in sorted(by_l):
-                rp = oracle.default_problem(params, u, l, scheme,
-                                            grid_points=args.grid_points, n_max=by_l[l])
-                result = oracle.solve(rp, by_l[l] + 1)
+            for l, result in _oracle_by_l(params, u, states, scheme, args.grid_points).items():
                 analytic = [energy(params, u, QuantumState(n=n, l=l))
-                            for n in range(by_l[l] + 1)]
-                m = len(result.eigenvalues)
-                present[l] = m
-                trimmed = oracle.NumericalSpectrum(
-                    eigenvalues=result.eigenvalues[:m],
-                    converged=result.converged[:m],
-                    requested=m,
-                    problem=rp,
-                )
-                reports[l] = oracle.compare(analytic[:m], trimmed)
+                            for n in range(len(result.eigenvalues))]
+                reports[l] = oracle.compare(analytic, result)
             for s in states:
-                if s.n >= present[s.l]:
+                if s.n >= len(reports[s.l].rows):
                     w.writerow([scheme.kind, s.label, s.n, s.l,
                                 _sci(energy(params, u, s), args.precision),
                                 "missing", "", "", "no", "no"])
-                    failed = True
+                    failing.append(f"{scheme.kind}:{s.label}")
                     continue
                 row = reports[s.l].rows[s.n]
                 ok = "" if tol is None else ("yes" if row.abs_dev <= tol else "no")
                 if ok == "no" or not row.converged:
-                    failed = True
+                    failing.append(f"{scheme.kind}:{s.label}")
                 w.writerow([scheme.kind, s.label, s.n, s.l,
                             _sci(row.analytic, args.precision),
                             _sci(row.numeric, args.precision),
                             _sci(row.abs_dev, args.precision),
                             _sci(row.rel_dev, args.precision),
                             "yes" if row.converged else "no", ok])
-    if args.strict and failed:
+    if args.strict and failing:
+        sys.stderr.write(f"mrspec: compare failed: {', '.join(failing)}\n")
         return EXIT_STRICT
     return EXIT_OK
 

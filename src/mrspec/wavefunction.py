@@ -5,14 +5,18 @@ A bound level (n, l) has
     R(r) = N z^epsilon (1 - z)^(1 + Lambda) P_n^(2 epsilon, 2 Lambda + 1)(1 - 2z),
     z = e^{-r/b},
 
-with N fixed by integral(R^2 dr) = 1. The normalization has a closed form:
-b times a double sum over Beta-function integrals
+with N fixed by integral(R^2 dr) = 1. The paper writes 1/N^2 = s(n) as b
+times an alternating double sum over the Beta integrals
 
     I(p, r) = integral_0^1 z^(n + 2 eps + r - p - 1) (1 - z)^(p + 2 Lam + 2) dz
-            = B(n + 2 eps + r - p, p + 2 Lam + 3).
+            = B(n + 2 eps + r - p, p + 2 Lam + 3),
 
-For tabulated parameters 2 epsilon reaches ~39, so every Gamma ratio here is
-evaluated in log space with explicit sign bookkeeping.
+which cancels catastrophically at weak screening. With x = 1 - 2z and
+1 + x = 2 - (1 - x), the integral splits into the Jacobi orthogonality norm
+and the standard moment of the weight (1 - x)^(2 eps - 1) (1 + x)^(2 Lam + 1);
+together they give s(n) as a product of positive factors (see
+`normalization_constant`). For tabulated parameters 2 epsilon reaches ~39,
+so the Gamma ratios are evaluated in log space.
 """
 
 from __future__ import annotations
@@ -26,13 +30,6 @@ from .errors import DomainError, NoBoundStateError, NumericalInstabilityError
 from .potential import PotentialParams
 from .spectrum import QuantumState, epsilon_of, nu_parameters
 from .units import UnitSystem
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not (x > 0):
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def jacobi(n: int, rho: float, nu: float, xi):
@@ -61,72 +58,50 @@ def jacobi(n: int, rho: float, nu: float, xi):
     return float(cur) if np.ndim(xi) == 0 else cur
 
 
-def _log_hyp_integral(n: int, epsilon: float, Lambda: float, p: int, r: int) -> float:
-    # log of B(n + 2 eps + r - p, p + 2 Lam + 3)
+def hyp_integral(n: int, epsilon: float, Lambda: float, p: int, r: int) -> float:
+    """The paper's kernel integral I(p, r) = B(n + 2 eps + r - p, p + 2 Lam + 3).
+
+    Both Beta arguments must be positive for the integral to converge.
+    """
     x = n + 2.0 * epsilon + r - p
     y = p + 2.0 * Lambda + 3.0
-    return log_gamma(x) + log_gamma(y) - log_gamma(x + y)
-
-
-def hyp_integral(n: int, epsilon: float, Lambda: float, p: int, r: int) -> float:
-    """The normalization kernel integral I(p, r); requires n + 2 eps + r - p > 0."""
-    if not (n + 2.0 * epsilon + r - p > 0):
-        raise DomainError(
-            f"hyp_integral needs n + 2*epsilon + r - p > 0, got "
-            f"{n + 2.0 * epsilon + r - p}"
-        )
-    return math.exp(_log_hyp_integral(n, epsilon, Lambda, p, r))
+    if not (x > 0):
+        raise DomainError(f"hyp_integral needs n + 2*epsilon + r - p > 0, got {x}")
+    if not (y > 0):
+        raise DomainError(f"hyp_integral needs p + 2*Lambda + 3 > 0, got {y}")
+    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
 
 def normalization_constant(
     state: QuantumState, epsilon: float, Lambda: float, b: float
 ) -> float:
-    """Closed-form N = 1/sqrt(s(n)) for the radial wavefunction.
+    """N = 1/sqrt(s(n)) for the radial wavefunction, with
 
-    s(n) = b (-1)^n [Gam(n+2L+2) Gam(n+2e+1)^2 / Gam(n+2e+2L+2)]
-           * sum_{p,r=0}^{n} (-1)^(p+r) Gam(n+2e+2L+r+2) I(p,r)
-             / [p! r! (n-p)! (n-r)! Gam(p+2L+2) Gam(n+2e-p+1) Gam(2e+r+1)]
+    s(n) = b Gam(n+2e+1) Gam(n+2L+2) (n+L+1)
+           / [n! Gam(n+2e+2L+2) 2e (n+e+L+1)]
 
-    evaluated as a max-shifted signed exponential sum. s(n) <= 0 would mean
-    the cancellation destroyed the result; that is reported, never masked.
-
-    The alternating double sum loses figures as n grows: against quadrature
-    the relative error is ~1e-12 at n = 0 and creeps to ~1e-3 by n = 8.
+    evaluated in log space. This is the paper's double sum over I(p, r) in
+    closed form: every factor is positive, so nothing cancels.
     """
     if not (epsilon > 0):
         raise DomainError(f"normalization needs epsilon > 0, got {epsilon}")
+    if not (Lambda > -1):
+        raise DomainError(f"normalization needs Lambda > -1, got {Lambda}")
     if not (b > 0):
         raise DomainError(f"screening length must be positive, got {b}")
     n = state.n
     e2 = 2.0 * epsilon
-    l2 = 2.0 * Lambda
-    log_global = (
-        log_gamma(n + l2 + 2.0) + 2.0 * log_gamma(n + e2 + 1.0) - log_gamma(n + e2 + l2 + 2.0)
+    log_s = (
+        math.lgamma(n + e2 + 1.0)
+        + math.lgamma(n + 2.0 * Lambda + 2.0)
+        - math.lgamma(n + 1.0)
+        - math.lgamma(n + e2 + 2.0 * Lambda + 2.0)
+        + math.log((n + Lambda + 1.0) / (e2 * (n + epsilon + Lambda + 1.0)))
     )
-    log_terms = []
-    signs = []
-    for p in range(n + 1):
-        for r in range(n + 1):
-            log_coeff = (
-                log_gamma(n + e2 + l2 + r + 2.0)
-                - log_gamma(p + 1.0)
-                - log_gamma(r + 1.0)
-                - log_gamma(n - p + 1.0)
-                - log_gamma(n - r + 1.0)
-                - log_gamma(p + l2 + 2.0)
-                - log_gamma(n + e2 - p + 1.0)
-                - log_gamma(e2 + r + 1.0)
-            )
-            log_terms.append(log_global + log_coeff + _log_hyp_integral(n, epsilon, Lambda, p, r))
-            signs.append(-1.0 if (n + p + r) % 2 else 1.0)
-    shift = max(log_terms)
-    acc = 0.0
-    for lt, sg in zip(log_terms, signs):
-        acc += sg * math.exp(lt - shift)
-    s_n = b * math.exp(shift) * acc
+    s_n = b * math.exp(log_s)
     if not (s_n > 0) or not math.isfinite(s_n):
         raise NumericalInstabilityError(
-            f"normalization sum for n={n}, epsilon={epsilon:.6g}, "
+            f"normalization for n={n}, epsilon={epsilon:.6g}, "
             f"Lambda={Lambda:.6g} evaluated to {s_n!r}"
         )
     return 1.0 / math.sqrt(s_n)

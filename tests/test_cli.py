@@ -202,6 +202,7 @@ def test_compare_strict_exit_code():
     assert cp.returncode == 3, cp.stderr
     _, rows = parse_csv(cp.stdout)
     assert rows[0][-1] == "no"
+    assert "exact:2p" in cp.stderr  # the failing row is named
     cp = run_cli(*base)  # same failure, but informational without --strict
     assert cp.returncode == 0
 

@@ -14,10 +14,11 @@ from mrspec import (
     RadialWavefunction,
     atomic_units,
     build_radial_wavefunction,
+    epsilon_of,
     hulthen_wavefunction,
     hyp_integral,
+    is_bound,
     jacobi,
-    log_gamma,
     normalization_constant,
     nu_parameters,
     radial_value,
@@ -59,13 +60,24 @@ def mp_jacobi_hyp(n, rho, nu, x):
     return pref * total
 
 
-def test_log_gamma_matches_lgamma():
-    for x in (0.5, 1.0, 3.7, 41.2, 500.0):
-        assert log_gamma(x) == math.lgamma(x)
-    with pytest.raises(DomainError):
-        log_gamma(0.0)
-    with pytest.raises(DomainError):
-        log_gamma(-1.5)
+def mp_paper_norm_sum(n, eps, lam, b):
+    # the paper's s(n) = 1/N^2 as its alternating double sum over the Beta
+    # kernels I(p, r), evaluated in 50-digit arithmetic
+    e2 = 2 * mpmath.mpf(eps)
+    l2 = 2 * mpmath.mpf(lam)
+    g = mpmath.gamma
+    fact = mpmath.factorial
+    total = mpmath.mpf(0)
+    for p in range(n + 1):
+        for r in range(n + 1):
+            total += (
+                (-1) ** (p + r)
+                * g(n + e2 + l2 + r + 2)
+                * mpmath.beta(n + e2 + r - p, p + l2 + 3)
+                / (fact(p) * fact(r) * fact(n - p) * fact(n - r)
+                   * g(p + l2 + 2) * g(n + e2 - p + 1) * g(e2 + r + 1))
+            )
+    return b * (-1) ** n * g(n + l2 + 2) * g(n + e2 + 1) ** 2 / g(n + e2 + l2 + 2) * total
 
 
 def test_jacobi_dual_formula_agreement():
@@ -126,6 +138,10 @@ def test_hyp_integral_domain():
     # for p <= n that can only fail with an unphysical epsilon
     with pytest.raises(DomainError):
         hyp_integral(0, -0.5, 1.0, 0, 0)
+    # p + 2 Lambda + 3 <= 0: lgamma would return log|Gamma| of a negative
+    # argument and a silently wrong number
+    with pytest.raises(DomainError):
+        hyp_integral(0, 1.0, -2.0, 0, 0)
 
 
 def test_normalization_reduces_to_beta_at_n0():
@@ -134,6 +150,45 @@ def test_normalization_reduces_to_beta_at_n0():
         got = normalization_constant(s0, eps, lam, 40.0)
         beta = float(mpmath.beta(2 * eps, 2 * lam + 3))
         assert got == pytest.approx(1.0 / math.sqrt(40.0 * beta), rel=1e-12)
+
+
+def test_normalization_matches_paper_double_sum():
+    # the closed form against the paper's own alternating sum (50 digits),
+    # for every bound state with n <= 12 at A = 2b, alpha = 0.75
+    checked = 0
+    for inv_b in (0.0025, 0.025):
+        b = 1.0 / inv_b
+        p = PotentialParams(A=2.0 * b, alpha=0.75, b=b)
+        for l in (0, 1, 2):
+            for n in range(13):
+                s = QuantumState(n=n, l=l)
+                if not is_bound(p, s):
+                    continue
+                eps = epsilon_of(p, s)
+                _, lam = nu_parameters(p, s)
+                got = normalization_constant(s, eps, lam, b) ** -2
+                ref = mp_paper_norm_sum(n, eps, lam, b)
+                assert float(abs(got - ref) / ref) < 1e-11, (inv_b, n, l)
+                checked += 1
+    assert checked == 61  # of 78; at 1/b = 0.025 the highest n are unbound
+
+
+@pytest.mark.parametrize("label", ["9p", "11p"])
+def test_weak_screening_wavefunction_is_normalized(label):
+    # weak screening, where the paper's alternating sum cancels in floats
+    b = 400.0
+    wf = build_radial_wavefunction(PotentialParams(A=2.0 * b, alpha=0.75, b=b),
+                                   QuantumState.from_label(label))
+    r_max = 60.0 * b / wf.epsilon
+    val, err = si.quad(lambda r: radial_value(wf, r) ** 2, 0.0, r_max, limit=500)
+    assert val == pytest.approx(1.0, abs=1e-8)
+
+
+def test_normalization_domain():
+    s = QuantumState(n=2, l=1)
+    for eps, lam, b in ((0.0, 1.0, 40.0), (1.0, -1.0, 40.0), (1.0, -1.5, 40.0), (1.0, 1.0, 0.0)):
+        with pytest.raises(DomainError):
+            normalization_constant(s, eps, lam, b)
 
 
 def test_normalization_positive_across_sweep():
