@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import math
 import sys
 
 import numpy as np
@@ -88,9 +89,15 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (value > 0):
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    if not (0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
     return value
+
+
+def _positive_float_list(text: str) -> list[float]:
+    if not text.strip():
+        return []
+    return [_positive_float(tok) for tok in text.split(",")]
 
 
 def _strength(text: str):
@@ -134,9 +141,18 @@ def _open_output(path: str | None):
     return open(path, "w", newline="", encoding="utf-8")
 
 
-def _make_writer(handle, fmt: str):
-    delim = "\t" if fmt == "tsv" else ","
-    return csv.writer(handle, delimiter=delim, lineterminator="\n")
+def _write_table(args, header, rows) -> None:
+    """Write the header and rows to args.output in args.format.
+
+    Callers finish every computation that can fail before they call this, so
+    an error never leaves a partial table behind; rows may be a generator
+    that only formats values already computed.
+    """
+    delim = "\t" if args.format == "tsv" else ","
+    with _open_output(args.output) as fh:
+        w = csv.writer(fh, delimiter=delim, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _fixed(value: float, precision: int) -> str:
@@ -196,7 +212,7 @@ def build_parser() -> _Parser:
     p_fig.add_argument("--points", type=int, default=None)
     p_fig.add_argument("--alphas", type=_float_list, default=[0.75, 1.5],
                        metavar="VALUES", help="fig1 only (default 0.75,1.5)")
-    p_fig.add_argument("--inv-b", type=_float_list, default=[0.025, 0.050, 0.100],
+    p_fig.add_argument("--inv-b", type=_positive_float_list, default=[0.025, 0.050, 0.100],
                        dest="inv_b_values", metavar="VALUES", help="fig1 only")
     p_fig.add_argument("--A", type=_strength, default=None, metavar="A|2b",
                        help="fig1 only (default 2b)")
@@ -242,12 +258,11 @@ def cmd_spectrum(args) -> int:
     b = _b_of(args)
     params = PotentialParams(A=_resolve_A(args.A, b), alpha=args.alpha, b=b)
     states = [s for chunk in args.state for s in chunk]
-    with _open_output(args.output) as fh:
-        w = _make_writer(fh, args.format)
-        w.writerow(["state", "n", "l", "energy"])
-        for s in states:
-            cell = _fixed(energy(params, u, s), args.precision) if is_bound(params, s) else "unbound"
-            w.writerow([s.label, s.n, s.l, cell])
+    rows = []
+    for s in states:
+        cell = _fixed(energy(params, u, s), args.precision) if is_bound(params, s) else "unbound"
+        rows.append([s.label, s.n, s.l, cell])
+    _write_table(args, ["state", "n", "l", "energy"], rows)
     return EXIT_OK
 
 
@@ -313,66 +328,57 @@ def cmd_table(args) -> int:
                             for n, ev in enumerate(result.eigenvalues)
                         }
 
-    with _open_output(args.output) as fh:
-        w = _make_writer(fh, args.format)
-        w.writerow(header)
-        for label, inv_b in rows:
-            s = QuantumState.from_label(label)
-            b = 1.0 / inv_b
-            cells = [label, f"{inv_b:.3f}"]
-            for _, u in mol_units:
-                for _, alpha in alpha_cols:
-                    params = PotentialParams(A=2.0 * b, alpha=alpha, b=b)
-                    cells.append(_fixed(energy(params, u, s), args.precision)
-                                 if is_bound(params, s) else "unbound")
-            if args.with_oracle:
-                for mol_name, _ in mol_units:
-                    for scheme_name in ("greene_aldrich", "exact"):
-                        for _, alpha in alpha_cols:
-                            ev = oracle_cache[(inv_b, mol_name, alpha, scheme_name)].get((s.n, s.l))
-                            cells.append("unbound" if ev is None else _fixed(ev, args.precision))
-            w.writerow(cells)
+    lines = []
+    for label, inv_b in rows:
+        s = QuantumState.from_label(label)
+        b = 1.0 / inv_b
+        cells = [label, f"{inv_b:.3f}"]
+        for _, u in mol_units:
+            for _, alpha in alpha_cols:
+                params = PotentialParams(A=2.0 * b, alpha=alpha, b=b)
+                cells.append(_fixed(energy(params, u, s), args.precision)
+                             if is_bound(params, s) else "unbound")
+        if args.with_oracle:
+            for mol_name, _ in mol_units:
+                for scheme_name in ("greene_aldrich", "exact"):
+                    for _, alpha in alpha_cols:
+                        ev = oracle_cache[(inv_b, mol_name, alpha, scheme_name)].get((s.n, s.l))
+                        cells.append("unbound" if ev is None else _fixed(ev, args.precision))
+        lines.append(cells)
+    _write_table(args, header, lines)
     return EXIT_OK
 
 
 def cmd_figure_data(args) -> int:
-    precision = args.precision
-    with _open_output(args.output) as fh:
-        w = _make_writer(fh, args.format)
-        if args.which == "fig1":
-            r_min = 0.05 if args.r_min is None else args.r_min
-            r_max = 60.0 if args.r_max is None else args.r_max
-            points = 1200 if args.points is None else args.points
-            if points < 2 or r_min >= r_max:
-                raise MrspecError("figure grid must be increasing with at least 2 points")
-            u = atomic_units()
-            r = np.linspace(r_min, r_max, points)
-            combos = [(alpha, inv_b) for alpha in args.alphas for inv_b in args.inv_b_values]
-            header = ["r"] + [f"V(alpha={a:g},1/b={ib:g})" for a, ib in combos]
-            w.writerow(header)
-            curves = []
-            for alpha, inv_b in combos:
-                b = 1.0 / inv_b
-                params = PotentialParams(A=_resolve_A(args.A, b), alpha=alpha, b=b)
-                curves.append(mr_value(params, u, r))
-            for i, ri in enumerate(r):
-                w.writerow([_sci(ri, precision)] + [_sci(c[i], precision) for c in curves])
-        else:
-            r_min = 0.1 if args.r_min is None else args.r_min
-            r_max = 30.0 if args.r_max is None else args.r_max
-            points = 600 if args.points is None else args.points
-            if points < 2 or r_min >= r_max:
-                raise MrspecError("figure grid must be increasing with at least 2 points")
-            b = 1.0 / args.delta
-            shifted = CentrifugalScheme("shifted", shift_c0=args.shift_c0)
-            r = np.linspace(r_min, r_max, points)
-            w.writerow(["r", "1/r^2", "greene_aldrich", "shifted"])
-            exact_col = centrifugal_term(EXACT, b, r)
-            ga_col = centrifugal_term(GREENE_ALDRICH, b, r)
-            sh_col = centrifugal_term(shifted, b, r)
-            for i, ri in enumerate(r):
-                w.writerow([_sci(ri, precision), _sci(exact_col[i], precision),
-                            _sci(ga_col[i], precision), _sci(sh_col[i], precision)])
+    if args.which == "fig1":
+        r_min = 0.05 if args.r_min is None else args.r_min
+        r_max = 60.0 if args.r_max is None else args.r_max
+        points = 1200 if args.points is None else args.points
+        if points < 2 or r_min >= r_max:
+            raise MrspecError("figure grid must be increasing with at least 2 points")
+        u = atomic_units()
+        r = np.linspace(r_min, r_max, points)
+        combos = [(alpha, inv_b) for alpha in args.alphas for inv_b in args.inv_b_values]
+        header = ["r"] + [f"V(alpha={a:g},1/b={ib:g})" for a, ib in combos]
+        columns = [r]
+        for alpha, inv_b in combos:
+            b = 1.0 / inv_b
+            params = PotentialParams(A=_resolve_A(args.A, b), alpha=alpha, b=b)
+            columns.append(mr_value(params, u, r))
+    else:
+        r_min = 0.1 if args.r_min is None else args.r_min
+        r_max = 30.0 if args.r_max is None else args.r_max
+        points = 600 if args.points is None else args.points
+        if points < 2 or r_min >= r_max:
+            raise MrspecError("figure grid must be increasing with at least 2 points")
+        b = 1.0 / args.delta
+        shifted = CentrifugalScheme("shifted", shift_c0=args.shift_c0)
+        r = np.linspace(r_min, r_max, points)
+        header = ["r", "1/r^2", "greene_aldrich", "shifted"]
+        columns = [r] + [centrifugal_term(scheme, b, r)
+                         for scheme in (EXACT, GREENE_ALDRICH, shifted)]
+    _write_table(args, header, ([_sci(c[i], args.precision) for c in columns]
+                                for i in range(len(r))))
     return EXIT_OK
 
 
@@ -392,34 +398,33 @@ def cmd_compare(args) -> int:
                "both": [GREENE_ALDRICH, EXACT]}[args.scheme]
 
     failing: list[str] = []
-    with _open_output(args.output) as fh:
-        w = _make_writer(fh, args.format)
-        w.writerow(["scheme", "state", "n", "l", "analytic", "numeric",
-                    "abs_dev", "rel_dev", "converged", "pass"])
-        for scheme in schemes:
-            tol = args.tol_ga if scheme.kind == "greene_aldrich" else args.tol_exact
-            reports: dict[int, oracle.ComparisonReport] = {}
-            for l, result in _oracle_by_l(params, u, states, scheme, args.grid_points).items():
-                analytic = [energy(params, u, QuantumState(n=n, l=l))
-                            for n in range(len(result.eigenvalues))]
-                reports[l] = oracle.compare(analytic, result)
-            for s in states:
-                if s.n >= len(reports[s.l].rows):
-                    w.writerow([scheme.kind, s.label, s.n, s.l,
-                                _sci(energy(params, u, s), args.precision),
-                                "missing", "", "", "no", "no"])
-                    failing.append(f"{scheme.kind}:{s.label}")
-                    continue
-                row = reports[s.l].rows[s.n]
-                ok = "" if tol is None else ("yes" if row.abs_dev <= tol else "no")
-                if ok == "no" or not row.converged:
-                    failing.append(f"{scheme.kind}:{s.label}")
-                w.writerow([scheme.kind, s.label, s.n, s.l,
-                            _sci(row.analytic, args.precision),
-                            _sci(row.numeric, args.precision),
-                            _sci(row.abs_dev, args.precision),
-                            _sci(row.rel_dev, args.precision),
-                            "yes" if row.converged else "no", ok])
+    lines = []
+    for scheme in schemes:
+        tol = args.tol_ga if scheme.kind == "greene_aldrich" else args.tol_exact
+        reports: dict[int, oracle.ComparisonReport] = {}
+        for l, result in _oracle_by_l(params, u, states, scheme, args.grid_points).items():
+            analytic = [energy(params, u, QuantumState(n=n, l=l))
+                        for n in range(len(result.eigenvalues))]
+            reports[l] = oracle.compare(analytic, result)
+        for s in states:
+            if s.n >= len(reports[s.l].rows):
+                lines.append([scheme.kind, s.label, s.n, s.l,
+                              _sci(energy(params, u, s), args.precision),
+                              "missing", "", "", "no", "no"])
+                failing.append(f"{scheme.kind}:{s.label}")
+                continue
+            row = reports[s.l].rows[s.n]
+            ok = "" if tol is None else ("yes" if row.abs_dev <= tol else "no")
+            if ok == "no" or not row.converged:
+                failing.append(f"{scheme.kind}:{s.label}")
+            lines.append([scheme.kind, s.label, s.n, s.l,
+                          _sci(row.analytic, args.precision),
+                          _sci(row.numeric, args.precision),
+                          _sci(row.abs_dev, args.precision),
+                          _sci(row.rel_dev, args.precision),
+                          "yes" if row.converged else "no", ok])
+    _write_table(args, ["scheme", "state", "n", "l", "analytic", "numeric",
+                        "abs_dev", "rel_dev", "converged", "pass"], lines)
     if args.strict and failing:
         sys.stderr.write(f"mrspec: compare failed: {', '.join(failing)}\n")
         return EXIT_STRICT
@@ -438,12 +443,9 @@ def cmd_wavefunction(args) -> int:
         raise MrspecError("need at least 2 sample points")
     r = np.linspace(0.0, r_max, args.points)
     values = radial_value(wf, r)
-    with _open_output(args.output) as fh:
-        w = _make_writer(fh, args.format)
-        w.writerow(["r", "R", "R^2"])
-        for ri, vi in zip(r, values):
-            w.writerow([_sci(ri, args.precision), _sci(vi, args.precision),
-                        _sci(vi * vi, args.precision)])
+    _write_table(args, ["r", "R", "R^2"],
+                 ([_sci(ri, args.precision), _sci(vi, args.precision),
+                   _sci(vi * vi, args.precision)] for ri, vi in zip(r, values)))
     return EXIT_OK
 
 

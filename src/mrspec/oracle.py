@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .errors import AlignmentError, DomainError
 from .potential import CentrifugalScheme, PotentialParams, centrifugal_term, mr_value
@@ -134,6 +133,10 @@ class NumericalSpectrum:
 
 
 def _lowest_eigenvalues(rp: RadialProblem, m: int, k: int) -> np.ndarray:
+    # scipy.linalg costs more than the rest of the package to import, so only
+    # an actual solve pays for it; the closed-form paths never load it.
+    from scipy.linalg import eigvalsh_tridiagonal
+
     r, h = _interior_nodes(rp, m)
     U = build_effective_potential(rp, r)
     kin = rp.units.hbar**2 / (2.0 * rp.units.mu * h * h)
@@ -180,6 +183,8 @@ def eigenfunction_nodes(rp: RadialProblem, k: int) -> list[int]:
     """Interior sign-change counts of the k lowest eigenfunctions."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
+    from scipy.linalg import eigh_tridiagonal
+
     r, h = _interior_nodes(rp, rp.grid_points)
     U = build_effective_potential(rp, r)
     kin = rp.units.hbar**2 / (2.0 * rp.units.mu * h * h)

@@ -31,8 +31,8 @@ class PotentialParams:
     b: float
 
     def __post_init__(self):
-        if not (self.b > 0):
-            raise DomainError(f"screening length must be positive, got {self.b}")
+        if not (0 < self.b < math.inf):
+            raise DomainError(f"screening length must be positive and finite, got {self.b}")
         if not (math.isfinite(self.A) and math.isfinite(self.alpha)):
             raise DomainError("A and alpha must be finite")
 
@@ -67,6 +67,8 @@ class CentrifugalScheme:
             raise DomainError(
                 f"unknown centrifugal scheme {self.kind!r}, expected one of {SCHEME_KINDS}"
             )
+        if not math.isfinite(self.shift_c0):
+            raise DomainError(f"shift_c0 must be finite, got {self.shift_c0}")
 
 
 EXACT = CentrifugalScheme("exact")

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import mrspec
 from mrspec import PotentialParams, QuantumState, atomic_units, energy, molecular_units
 
 
@@ -277,3 +278,79 @@ def test_table_with_oracle_columns():
     analytic = float(row[header.index("alpha=0.75")])
     ga = float(row[header.index("oracle_greene_aldrich alpha=0.75")])
     assert ga == pytest.approx(analytic, abs=1e-5)
+
+
+def test_non_finite_screening_length_is_rejected():
+    base = ("spectrum", "--alpha", "0.75", "--A", "5", "--state", "1s")
+    cp = run_cli(*base, "--b", "inf")
+    assert cp.returncode == 1, cp.stdout
+    assert cp.stdout == ""
+    cp = run_cli(*base, "--inv-b", "1e-320")  # 1/b overflows to inf
+    assert cp.returncode == 2, cp.stdout
+    assert cp.stdout == ""
+    assert "finite" in cp.stderr
+
+
+def test_figure1_inverse_b_list_is_range_checked():
+    for values in ("0", "1e-400", "0.025,-1", "inf"):
+        cp = run_cli("figure-data", "fig1", "--points", "5", "--inv-b", values)
+        assert cp.returncode == 1, values
+        assert cp.stdout == "", values
+        assert "--inv-b" in cp.stderr
+
+
+def test_failure_after_parsing_writes_no_partial_table(tmp_path: Path):
+    for args in (("compare", "--alpha", "0.75", "--inv-b", "0.05", "--grid-points", "10"),
+                 ("figure-data", "fig1", "--alphas", "nan"),
+                 ("figure-data", "fig2", "--shift-c0", "nan")):
+        cp = run_cli(*args)
+        assert cp.returncode == 2, args
+        assert cp.stdout == "", args
+        out = tmp_path / "partial.csv"
+        cp = run_cli(*args, "--output", str(out))
+        assert cp.returncode == 2, args
+        assert not out.exists(), args
+
+
+# Runs in a fresh interpreter: pytest's own process has scipy loaded already.
+IMPORT_BOUNDARY_SCRIPT = """
+import contextlib, io, sys
+import mrspec
+import mrspec.cli
+from mrspec import solve
+
+assert mrspec.oracle.solve is solve
+for name in mrspec.__all__:
+    getattr(mrspec, name)
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = mrspec.cli.main(list(argv))
+    assert code == 0 and out.getvalue(), (argv, code)
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+potential = ("--alpha", "0.75", "--inv-b", "0.025")
+run("spectrum", *potential, "--state", "2p,3d")
+for table in ("table1", "table2", "table3"):
+    run("table", table)
+run("figure-data", "fig1", "--points", "5")
+run("figure-data", "fig2", "--points", "5")
+run("wavefunction", *potential, "--state", "2p", "--points", "5")
+assert not scipy_modules(), scipy_modules()
+
+run("table", "table1", "--with-oracle", "--states", "2p", "--inv-b", "0.025")
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_closed_form_paths_never_import_scipy():
+    package_root = Path(mrspec.__file__).resolve().parents[1]
+    pythonpath = [str(package_root), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    env.pop("MRSPEC_REGISTRY", None)
+    cp = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY_SCRIPT],
+                        capture_output=True, text=True, env=env)
+    assert cp.returncode == 0, cp.stderr

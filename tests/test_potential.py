@@ -60,6 +60,8 @@ def test_params_validation():
         PotentialParams(A=80.0, alpha=0.75, b=0.0)
     with pytest.raises(DomainError):
         PotentialParams(A=math.inf, alpha=0.75, b=40.0)
+    with pytest.raises(DomainError):
+        PotentialParams(A=5.0, alpha=0.75, b=math.inf)
 
 
 def test_cd_form_mapping():
@@ -177,5 +179,8 @@ def test_approximation_quality_windows():
 def test_scheme_validation():
     with pytest.raises(DomainError):
         CentrifugalScheme("bogus")
+    for c0 in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            CentrifugalScheme("shifted", shift_c0=c0)
     with pytest.raises(DomainError):
         centrifugal_term(GREENE_ALDRICH, 10.0, 0.0)
