@@ -15,9 +15,8 @@ from mrspec import (
     PotentialParams,
     QuantumState,
     atomic_units,
-    default_problem,
     energy,
-    solve,
+    levels,
 )
 
 u = atomic_units()
@@ -27,25 +26,16 @@ for inv_b in (0.025, 0.075):
     b = 1.0 / inv_b
     params = PotentialParams(A=2.0 * b, alpha=0.75, b=b)
     states = [QuantumState.from_label(lab) for lab in labels]
-    by_l = {}
-    for s in states:
-        by_l[s.l] = max(by_l.get(s.l, -1), s.n)
-
-    numeric = {}
-    for scheme in (GREENE_ALDRICH, EXACT):
-        for l, n_top in by_l.items():
-            rp = default_problem(params, u, l, scheme, n_max=n_top)
-            result = solve(rp, n_top + 1)
-            for n, ev in enumerate(result.eigenvalues):
-                numeric[(scheme.kind, n, l)] = ev
+    numeric = {scheme.kind: levels(params, u, states, scheme)
+               for scheme in (GREENE_ALDRICH, EXACT)}
 
     print(f"alpha = 0.75, 1/b = {inv_b:g}, A = 2b (hartree, 20k grid)")
     print(f"{'state':>5} {'analytic':>12} {'ga solver':>12} {'|dev|':>9} "
           f"{'exact solver':>13} {'|dev|':>9}")
     for s in states:
         analytic = energy(params, u, s)
-        ga = numeric[("greene_aldrich", s.n, s.l)]
-        ex = numeric[("exact", s.n, s.l)]
+        ga = numeric["greene_aldrich"][s].energy
+        ex = numeric["exact"][s].energy
         print(f"{s.label:>5} {analytic:>12.7f} {ga:>12.7f} {abs(ga - analytic):>9.1e} "
               f"{ex:>13.7f} {abs(ex - analytic):>9.1e}")
     print()

@@ -7,7 +7,6 @@ be validated independently.
 """
 
 from .errors import (
-    AlignmentError,
     ConfigurationError,
     DomainError,
     MrspecError,
@@ -16,14 +15,13 @@ from .errors import (
     UnknownMoleculeError,
 )
 from .oracle import (
-    ComparisonReport,
-    ComparisonRow,
+    Level,
     NumericalSpectrum,
     RadialProblem,
     build_effective_potential,
-    compare,
     default_problem,
     eigenfunction_nodes,
+    levels,
     solve,
 )
 from .potential import (
@@ -77,11 +75,11 @@ from .wavefunction import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentError", "ConfigurationError", "DomainError", "MrspecError",
+    "ConfigurationError", "DomainError", "MrspecError",
     "NoBoundStateError", "NumericalInstabilityError", "UnknownMoleculeError",
-    "ComparisonReport", "ComparisonRow", "NumericalSpectrum", "RadialProblem",
-    "build_effective_potential", "compare", "default_problem",
-    "eigenfunction_nodes", "solve",
+    "Level", "NumericalSpectrum", "RadialProblem",
+    "build_effective_potential", "default_problem",
+    "eigenfunction_nodes", "levels", "solve",
     "EXACT", "GREENE_ALDRICH", "SHIFTED", "CDForm", "CentrifugalScheme",
     "PotentialParams", "centrifugal_term", "force_constant", "minimum",
     "mr_value", "mr_value_cd",

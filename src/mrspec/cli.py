@@ -57,9 +57,6 @@ TABLE23_ROWS = tuple(
     (label, inv_b) for label in _FULL_STATE_ORDER for inv_b in _INV_B_BY_STATE_T23[label]
 )
 TABLE_MOLECULES = {"table2": ("HCl", "CH"), "table3": ("LiH", "CO")}
-TABLE1_ALPHAS = (0.75, 1.5)
-# the molecular tables add the degenerate alpha in {0, 1} column
-TABLE23_ALPHA_COLUMNS = ("0,1", "0.75", "1.5")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -266,19 +263,6 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _oracle_by_l(params, u, states, scheme, grid_points):
-    """One finite-difference solve per l, for every n up to the deepest requested."""
-    n_max: dict[int, int] = {}
-    for s in states:
-        n_max[s.l] = max(n_max.get(s.l, -1), s.n)
-    by_l: dict[int, oracle.NumericalSpectrum] = {}
-    for l in sorted(n_max):
-        rp = oracle.default_problem(params, u, l, scheme,
-                                    grid_points=grid_points, n_max=n_max[l])
-        by_l[l] = oracle.solve(rp, n_max[l] + 1)
-    return by_l
-
-
 def cmd_table(args) -> int:
     which = args.which
     rows = TABLE1_ROWS if which == "table1" else TABLE23_ROWS
@@ -302,15 +286,14 @@ def cmd_table(args) -> int:
         prefix = f"{mol_name} " if mol_name else ""
         for alpha_name, _ in alpha_cols:
             header.append(f"{prefix}alpha={alpha_name}")
+    schemes = (GREENE_ALDRICH, EXACT)
+    oracle_levels: dict[tuple, dict] = {}
     if args.with_oracle:
         for mol_name, _ in mol_units:
             prefix = f"{mol_name} " if mol_name else ""
-            for scheme in ("greene_aldrich", "exact"):
+            for scheme in schemes:
                 for alpha_name, _ in alpha_cols:
-                    header.append(f"{prefix}oracle_{scheme} alpha={alpha_name}")
-
-    oracle_cache: dict[tuple, dict] = {}
-    if args.with_oracle:
+                    header.append(f"{prefix}oracle_{scheme.kind} alpha={alpha_name}")
         state_by_invb: dict[float, list[QuantumState]] = {}
         for label, inv_b in rows:
             state_by_invb.setdefault(inv_b, []).append(QuantumState.from_label(label))
@@ -319,14 +302,9 @@ def cmd_table(args) -> int:
             for mol_name, u in mol_units:
                 for _, alpha in alpha_cols:
                     params = PotentialParams(A=2.0 * b, alpha=alpha, b=b)
-                    for scheme_name in ("greene_aldrich", "exact"):
-                        scheme = GREENE_ALDRICH if scheme_name == "greene_aldrich" else EXACT
-                        by_l = _oracle_by_l(params, u, states, scheme, args.grid_points)
-                        # (n, l) -> energy; a missing key means unbound
-                        oracle_cache[(inv_b, mol_name, alpha, scheme_name)] = {
-                            (n, l): ev for l, result in by_l.items()
-                            for n, ev in enumerate(result.eigenvalues)
-                        }
+                    for scheme in schemes:
+                        oracle_levels[(inv_b, mol_name, alpha, scheme)] = oracle.levels(
+                            params, u, states, scheme, args.grid_points)
 
     lines = []
     for label, inv_b in rows:
@@ -340,10 +318,11 @@ def cmd_table(args) -> int:
                              if is_bound(params, s) else "unbound")
         if args.with_oracle:
             for mol_name, _ in mol_units:
-                for scheme_name in ("greene_aldrich", "exact"):
+                for scheme in schemes:
                     for _, alpha in alpha_cols:
-                        ev = oracle_cache[(inv_b, mol_name, alpha, scheme_name)].get((s.n, s.l))
-                        cells.append("unbound" if ev is None else _fixed(ev, args.precision))
+                        level = oracle_levels[(inv_b, mol_name, alpha, scheme)].get(s)
+                        cells.append("unbound" if level is None
+                                     else _fixed(level.energy, args.precision))
         lines.append(cells)
     _write_table(args, header, lines)
     return EXIT_OK
@@ -401,28 +380,23 @@ def cmd_compare(args) -> int:
     lines = []
     for scheme in schemes:
         tol = args.tol_ga if scheme.kind == "greene_aldrich" else args.tol_exact
-        reports: dict[int, oracle.ComparisonReport] = {}
-        for l, result in _oracle_by_l(params, u, states, scheme, args.grid_points).items():
-            analytic = [energy(params, u, QuantumState(n=n, l=l))
-                        for n in range(len(result.eigenvalues))]
-            reports[l] = oracle.compare(analytic, result)
+        found = oracle.levels(params, u, states, scheme, args.grid_points)
         for s in states:
-            if s.n >= len(reports[s.l].rows):
-                lines.append([scheme.kind, s.label, s.n, s.l,
-                              _sci(energy(params, u, s), args.precision),
+            analytic = energy(params, u, s)
+            level = found.get(s)
+            if level is None:
+                lines.append([scheme.kind, s.label, s.n, s.l, _sci(analytic, args.precision),
                               "missing", "", "", "no", "no"])
                 failing.append(f"{scheme.kind}:{s.label}")
                 continue
-            row = reports[s.l].rows[s.n]
-            ok = "" if tol is None else ("yes" if row.abs_dev <= tol else "no")
-            if ok == "no" or not row.converged:
+            dev = abs(analytic - level.energy)
+            rel = dev / abs(analytic) if analytic else (math.inf if dev else 0.0)
+            ok = "" if tol is None else ("yes" if dev <= tol else "no")
+            if ok == "no" or not level.converged:
                 failing.append(f"{scheme.kind}:{s.label}")
-            lines.append([scheme.kind, s.label, s.n, s.l,
-                          _sci(row.analytic, args.precision),
-                          _sci(row.numeric, args.precision),
-                          _sci(row.abs_dev, args.precision),
-                          _sci(row.rel_dev, args.precision),
-                          "yes" if row.converged else "no", ok])
+            lines.append([scheme.kind, s.label, s.n, s.l, _sci(analytic, args.precision),
+                          _sci(level.energy, args.precision), _sci(dev, args.precision),
+                          _sci(rel, args.precision), "yes" if level.converged else "no", ok])
     _write_table(args, ["scheme", "state", "n", "l", "analytic", "numeric",
                         "abs_dev", "rel_dev", "converged", "pass"], lines)
     if args.strict and failing:

@@ -27,7 +27,3 @@ class UnknownMoleculeError(MrspecError, KeyError):
 
 class NumericalInstabilityError(MrspecError):
     """A summation or solve produced a result that cannot be trusted."""
-
-
-class AlignmentError(MrspecError):
-    """Two sequences that must be compared element-wise differ in length."""

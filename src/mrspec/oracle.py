@@ -16,14 +16,16 @@ plays the role of an independent reference spectrum.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AlignmentError, DomainError
+from .errors import DomainError
 from .potential import CentrifugalScheme, PotentialParams, centrifugal_term, mr_value
 from .spectrum import QuantumState, _raw_epsilon
-from .units import UnitSystem
+from .units import UnitSystem, energy_scale
 
 # Sturm bisection needs an absolute tolerance: the default (eps * Gershgorin
 # interval) is ruined by the huge near-origin centrifugal values.
@@ -132,23 +134,22 @@ class NumericalSpectrum:
         return self.requested - len(self.eigenvalues)
 
 
+def _tridiagonal(rp: RadialProblem, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the m-point finite-difference Hamiltonian."""
+    r, h = _interior_nodes(rp, m)
+    U = build_effective_potential(rp, r)
+    kin = energy_scale(rp.units, h)  # hbar^2/(2 mu h^2)
+    return 2.0 * kin + U, np.full(m - 1, -kin)
+
+
 def _lowest_eigenvalues(rp: RadialProblem, m: int, k: int) -> np.ndarray:
     # scipy.linalg costs more than the rest of the package to import, so only
     # an actual solve pays for it; the closed-form paths never load it.
     from scipy.linalg import eigvalsh_tridiagonal
 
-    r, h = _interior_nodes(rp, m)
-    U = build_effective_potential(rp, r)
-    kin = rp.units.hbar**2 / (2.0 * rp.units.mu * h * h)
-    diag = 2.0 * kin + U
-    off = np.full(m - 1, -kin)
+    diag, off = _tridiagonal(rp, m)
     return eigvalsh_tridiagonal(
-        diag,
-        off,
-        select="i",
-        select_range=(0, k - 1),
-        tol=_BISECT_TOL,
-        lapack_driver="stebz",
+        diag, off, select="i", select_range=(0, k - 1), tol=_BISECT_TOL, lapack_driver="stebz"
     )
 
 
@@ -185,11 +186,7 @@ def eigenfunction_nodes(rp: RadialProblem, k: int) -> list[int]:
         raise DomainError(f"k must be >= 1, got {k}")
     from scipy.linalg import eigh_tridiagonal
 
-    r, h = _interior_nodes(rp, rp.grid_points)
-    U = build_effective_potential(rp, r)
-    kin = rp.units.hbar**2 / (2.0 * rp.units.mu * h * h)
-    diag = 2.0 * kin + U
-    off = np.full(rp.grid_points - 1, -kin)
+    diag, off = _tridiagonal(rp, rp.grid_points)
     # stebz bisection for values + stein inverse iteration for vectors
     _, vecs = eigh_tridiagonal(
         diag, off, select="i", select_range=(0, k - 1), tol=_BISECT_TOL, lapack_driver="stebz"
@@ -204,49 +201,30 @@ def eigenfunction_nodes(rp: RadialProblem, k: int) -> list[int]:
     return counts
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    index: int
-    analytic: float
-    numeric: float
-    abs_dev: float
-    rel_dev: float
+class Level(NamedTuple):
+    """One oracle eigenvalue and whether its grid-doubling estimate passed."""
+
+    energy: float
     converged: bool
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Per-level deviations between an analytic and a numerical spectrum."""
+def levels(
+    params: PotentialParams, units: UnitSystem, states: Sequence[QuantumState],
+    scheme: CentrifugalScheme, grid_points: int = 20000,
+) -> dict[QuantumState, Level]:
+    """Oracle levels of the given states, from one solve per l-channel.
 
-    scheme: str
-    rows: tuple[ComparisonRow, ...]
-
-    @property
-    def max_abs_dev(self) -> float:
-        return max((row.abs_dev for row in self.rows), default=0.0)
-
-    @property
-    def max_rel_dev(self) -> float:
-        return max((row.rel_dev for row in self.rows), default=0.0)
-
-
-def compare(analytic, numeric: NumericalSpectrum) -> ComparisonReport:
-    """Align two spectra level-by-level and report deviations."""
-    analytic = list(analytic)
-    if len(analytic) != len(numeric.eigenvalues):
-        raise AlignmentError(
-            f"analytic list has {len(analytic)} levels, numeric has "
-            f"{len(numeric.eigenvalues)}"
-        )
-    rows = []
-    for i, (a, nval, conv) in enumerate(
-        zip(analytic, numeric.eigenvalues, numeric.converged)
-    ):
-        dev = abs(a - nval)
-        rel = dev / abs(a) if a != 0.0 else float("inf") if dev else 0.0
-        rows.append(
-            ComparisonRow(
-                index=i, analytic=a, numeric=nval, abs_dev=dev, rel_dev=rel, converged=conv
-            )
-        )
-    return ComparisonReport(scheme=numeric.problem.scheme.kind, rows=tuple(rows))
+    Each channel is solved for every n up to the deepest one requested, in
+    the `default_problem` box for that n. A state whose eigenvalue came out
+    unbound (E >= 0) is missing from the result.
+    """
+    n_max: dict[int, int] = {}
+    for s in states:
+        n_max[s.l] = max(n_max.get(s.l, -1), s.n)
+    found: dict[QuantumState, Level] = {}
+    for l in sorted(n_max):
+        rp = default_problem(params, units, l, scheme, grid_points=grid_points, n_max=n_max[l])
+        result = solve(rp, n_max[l] + 1)
+        for n, level in enumerate(zip(result.eigenvalues, result.converged)):
+            found[QuantumState(n=n, l=l)] = Level(*level)
+    return {s: found[s] for s in states if s in found}

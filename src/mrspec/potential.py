@@ -35,6 +35,8 @@ class PotentialParams:
             raise DomainError(f"screening length must be positive and finite, got {self.b}")
         if not (math.isfinite(self.A) and math.isfinite(self.alpha)):
             raise DomainError("A and alpha must be finite")
+        if not math.isfinite(self.alpha * (self.alpha - 1.0)):
+            raise DomainError(f"alpha(alpha-1) overflows for alpha={self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -137,8 +139,8 @@ def force_constant(p: PotentialParams, u: UnitSystem) -> float:
 
 def centrifugal_term(s: CentrifugalScheme, b: float, r):
     """The 1/r^2-like factor (units 1/length^2) under the chosen scheme."""
-    if not (b > 0):
-        raise DomainError(f"screening length must be positive, got {b}")
+    if not (0 < b < math.inf):
+        raise DomainError(f"screening length must be positive and finite, got {b}")
     arr = _as_positive_r(r)
     if s.kind == "exact":
         return _maybe_scalar(arr, 1.0 / (arr * arr))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NoBoundStateError
+from .errors import DomainError, NoBoundStateError, NumericalInstabilityError
 from .potential import PotentialParams
 from .units import UnitSystem, atomic_units, energy_scale
 
@@ -105,17 +105,25 @@ def epsilon_of(p: PotentialParams, s: QuantumState) -> float:
     return eps
 
 
+def _level_energy(u: UnitSystem, b: float, eps: float) -> float:
+    e = -energy_scale(u, b) * eps * eps
+    if not math.isfinite(e):
+        raise NumericalInstabilityError(
+            f"energy -(hbar^2/2 mu b^2) epsilon^2 is not finite for epsilon={eps:.6g}, b={b:.6g}"
+        )
+    return e
+
+
 def energy(p: PotentialParams, u: UnitSystem, s: QuantumState) -> float:
     """Closed-form level energy -(hbar^2/2 mu b^2) epsilon^2 (<= 0 always)."""
-    eps = _raw_epsilon(p, s)
-    return -energy_scale(u, p.b) * eps * eps
+    return _level_energy(u, p.b, _raw_epsilon(p, s))
 
 
 def solve_state(p: PotentialParams, u: UnitSystem, s: QuantumState) -> NUSolution:
     """Bundle (a, Lambda, epsilon, energy) for a bound state."""
     a, lam = nu_parameters(p, s)
     eps = epsilon_of(p, s)
-    return NUSolution(a=a, Lambda=lam, epsilon=eps, energy=-energy_scale(u, p.b) * eps * eps)
+    return NUSolution(a=a, Lambda=lam, epsilon=eps, energy=_level_energy(u, p.b, eps))
 
 
 def critical_coupling(s: QuantumState, alpha: float) -> float:
@@ -159,7 +167,7 @@ def hulthen_energy(A: float, b: float, u: UnitSystem, s: QuantumState) -> float:
     if A <= N * N:
         raise NoBoundStateError(f"Hulthen state {s.label} needs A > {N * N}, got A={A}")
     eps = (A - N * N) / (2.0 * N)
-    return -energy_scale(u, b) * eps * eps
+    return _level_energy(u, b, eps)
 
 
 def coulomb_energy(Z: float, u: UnitSystem, s: QuantumState) -> float:

@@ -10,6 +10,7 @@ conversion factors.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -94,7 +95,11 @@ def energy_scale(u: UnitSystem, b: float) -> float:
     """The spectral prefactor hbar^2/(2 mu b^2) for screening length b."""
     if not (b > 0):
         raise DomainError(f"screening length must be positive, got {b}")
-    return u.hbar * u.hbar / (2.0 * u.mu * b * b)
+    denominator = 2.0 * u.mu * b * b
+    scale = u.hbar * u.hbar / denominator if denominator > 0 else math.inf
+    if not math.isfinite(scale):
+        raise DomainError(f"energy scale hbar^2/(2 mu b^2) is not finite for b={b!r}")
+    return scale
 
 
 _DEFAULT_MOLECULES = (

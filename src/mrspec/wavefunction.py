@@ -72,6 +72,32 @@ def hyp_integral(n: int, epsilon: float, Lambda: float, p: int, r: int) -> float
     return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
 
+# Above this argument the Gamma ratio in normalization_constant is taken from
+# the Stirling series, whose truncation error here is below 1e-17
+_STIRLING_MIN = 100.0
+
+
+def _stirling_tail(y: float) -> float:
+    # lgamma(y) - [(y - 1/2) log y - y + log(2 pi)/2] up to O(y^-7)
+    inv = 1.0 / y
+    inv2 = inv * inv
+    return inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 / 1260.0))
+
+
+def _log_gamma_ratio(x: float, a: float) -> float:
+    """log Gamma(x + a) - log Gamma(x) for x > 0, x + a > 0.
+
+    The difference of two lgamma values keeps only ulp(x log x) of absolute
+    accuracy (a relative error of 5e-3 in N at epsilon = 1e12), so for large x
+    the x log x terms of the two Stirling series are cancelled by hand.
+    """
+    if x < _STIRLING_MIN:
+        return math.lgamma(x + a) - math.lgamma(x)
+    y = x + a
+    return ((x - 0.5) * math.log1p(a / x) + a * math.log(y) - a
+            + _stirling_tail(y) - _stirling_tail(x))
+
+
 def normalization_constant(
     state: QuantumState, epsilon: float, Lambda: float, b: float
 ) -> float:
@@ -81,10 +107,11 @@ def normalization_constant(
            / [n! Gam(n+2e+2L+2) 2e (n+e+L+1)]
 
     evaluated in log space. This is the paper's double sum over I(p, r) in
-    closed form: every factor is positive, so nothing cancels.
+    closed form: every factor is positive, so nothing cancels. An N outside
+    the float range raises NumericalInstabilityError.
     """
-    if not (epsilon > 0):
-        raise DomainError(f"normalization needs epsilon > 0, got {epsilon}")
+    if not (0 < epsilon < math.inf):
+        raise DomainError(f"normalization needs a finite epsilon > 0, got {epsilon}")
     if not (Lambda > -1):
         raise DomainError(f"normalization needs Lambda > -1, got {Lambda}")
     if not (b > 0):
@@ -92,19 +119,21 @@ def normalization_constant(
     n = state.n
     e2 = 2.0 * epsilon
     log_s = (
-        math.lgamma(n + e2 + 1.0)
-        + math.lgamma(n + 2.0 * Lambda + 2.0)
+        math.lgamma(n + 2.0 * Lambda + 2.0)
         - math.lgamma(n + 1.0)
-        - math.lgamma(n + e2 + 2.0 * Lambda + 2.0)
-        + math.log((n + Lambda + 1.0) / (e2 * (n + epsilon + Lambda + 1.0)))
+        - _log_gamma_ratio(n + e2 + 1.0, 2.0 * Lambda + 1.0)
+        + math.log(n + Lambda + 1.0)
+        - math.log(e2)
+        - math.log(n + epsilon + Lambda + 1.0)
     )
-    s_n = b * math.exp(log_s)
-    if not (s_n > 0) or not math.isfinite(s_n):
+    log_norm = -0.5 * (math.log(b) + log_s)
+    norm = math.exp(log_norm) if log_norm < 710.0 else math.inf
+    if not (0 < norm < math.inf):
         raise NumericalInstabilityError(
             f"normalization for n={n}, epsilon={epsilon:.6g}, "
-            f"Lambda={Lambda:.6g} evaluated to {s_n!r}"
+            f"Lambda={Lambda:.6g} is outside the float range (log N = {log_norm:.6g})"
         )
-    return 1.0 / math.sqrt(s_n)
+    return norm
 
 
 @dataclass(frozen=True)

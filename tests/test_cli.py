@@ -291,6 +291,19 @@ def test_non_finite_screening_length_is_rejected():
     assert "finite" in cp.stderr
 
 
+def test_overflowing_potentials_are_compute_errors():
+    tiny_b = ("--alpha", "0.75", "--b", "1e-200", "--A", "5")  # 2 mu b^2 underflows
+    huge_a = ("--alpha", "0.75", "--inv-b", "0.025", "--A", "1e300")  # epsilon^2 overflows
+    for args in (("spectrum", *tiny_b, "--state", "2p"),
+                 ("compare", *tiny_b, "--states", "2p"),
+                 ("spectrum", *huge_a, "--state", "2p"),
+                 ("wavefunction", *huge_a, "--state", "2p")):
+        cp = run_cli(*args)
+        assert cp.returncode == 2, (args, cp.stderr)
+        assert cp.stdout == "", args
+        assert cp.stderr.startswith("mrspec: error:"), (args, cp.stderr)
+
+
 def test_figure1_inverse_b_list_is_range_checked():
     for values in ("0", "1e-400", "0.025,-1", "inf"):
         cp = run_cli("figure-data", "fig1", "--points", "5", "--inv-b", values)
@@ -302,10 +315,13 @@ def test_figure1_inverse_b_list_is_range_checked():
 def test_failure_after_parsing_writes_no_partial_table(tmp_path: Path):
     for args in (("compare", "--alpha", "0.75", "--inv-b", "0.05", "--grid-points", "10"),
                  ("figure-data", "fig1", "--alphas", "nan"),
-                 ("figure-data", "fig2", "--shift-c0", "nan")):
+                 ("figure-data", "fig2", "--shift-c0", "nan"),
+                 ("figure-data", "fig2", "--delta", "1e-320"),  # b = 1/delta overflows
+                 ("figure-data", "fig1", "--alphas", "1e200")):  # alpha(alpha-1) overflows
         cp = run_cli(*args)
         assert cp.returncode == 2, args
         assert cp.stdout == "", args
+        assert cp.stderr.startswith("mrspec: error:"), args
         out = tmp_path / "partial.csv"
         cp = run_cli(*args, "--output", str(out))
         assert cp.returncode == 2, args

@@ -4,18 +4,18 @@ import pytest
 from mrspec import (
     EXACT,
     GREENE_ALDRICH,
-    AlignmentError,
     DomainError,
+    Level,
     NumericalSpectrum,
     PotentialParams,
     QuantumState,
     RadialProblem,
     atomic_units,
     build_effective_potential,
-    compare,
     default_problem,
     eigenfunction_nodes,
     energy,
+    levels,
     mr_value,
     solve,
 )
@@ -145,26 +145,31 @@ def test_node_counts_match_radial_quantum_number():
     assert eigenfunction_nodes(rp, 3) == [0, 1, 2]
 
 
-def test_compare_report():
-    rp = default_problem(P075, U, 1, GREENE_ALDRICH, n_max=1)
-    result = solve(rp, 2)
-    analytic = [energy(P075, U, QuantumState(n=n, l=1)) for n in range(2)]
-    report = compare(analytic, result)
-    assert report.scheme == "greene_aldrich"
-    assert len(report.rows) == 2
-    assert report.max_abs_dev < 1e-7
-    assert report.max_rel_dev < 1e-6
-    for i, row in enumerate(report.rows):
-        assert row.index == i
-        assert row.abs_dev == abs(row.analytic - row.numeric)
-        assert row.converged
+@pytest.mark.parametrize("scheme", [GREENE_ALDRICH, EXACT], ids=lambda sc: sc.kind)
+def test_levels_match_one_direct_solve_per_l(scheme):
+    labels = ("3p", "2p", "3d", "4f", "5p")
+    states = [QuantumState.from_label(lab) for lab in labels]
+    got = levels(P075, U, states, scheme, grid_points=4000)
+    assert list(got) == states
+    for l, n_max in ((1, 3), (2, 0), (3, 0)):
+        rp = default_problem(P075, U, l, scheme, grid_points=4000, n_max=n_max)
+        result = solve(rp, n_max + 1)
+        for s in states:
+            if s.l == l:
+                assert got[s] == Level(result.eigenvalues[s.n], result.converged[s.n])
 
 
-def test_compare_alignment_error():
-    rp = default_problem(P075, U, 1, GREENE_ALDRICH, n_max=1)
-    result = solve(rp, 2)
-    with pytest.raises(AlignmentError):
-        compare([-0.1], result)
+def test_levels_omit_unbound_states():
+    # alpha=0.75, 1/b=0.1: l=2 binds exactly two levels and l=4 none
+    p = PotentialParams(A=20.0, alpha=0.75, b=10.0)
+    states = [QuantumState(n=0, l=2), QuantumState(n=4, l=2), QuantumState(n=0, l=4)]
+    got = levels(p, U, states, GREENE_ALDRICH, grid_points=4000)
+    assert list(got) == [QuantumState(n=0, l=2)]
+    assert got[states[0]].energy < 0
+
+
+def test_levels_of_no_states_is_empty():
+    assert levels(P075, U, [], GREENE_ALDRICH) == {}
 
 
 def test_numerical_spectrum_shortfall_property():

@@ -62,6 +62,8 @@ def test_params_validation():
         PotentialParams(A=math.inf, alpha=0.75, b=40.0)
     with pytest.raises(DomainError):
         PotentialParams(A=5.0, alpha=0.75, b=math.inf)
+    with pytest.raises(DomainError):
+        PotentialParams(A=5.0, alpha=1e200, b=40.0)  # alpha(alpha-1) overflows
 
 
 def test_cd_form_mapping():
@@ -184,3 +186,6 @@ def test_scheme_validation():
             CentrifugalScheme("shifted", shift_c0=c0)
     with pytest.raises(DomainError):
         centrifugal_term(GREENE_ALDRICH, 10.0, 0.0)
+    for scheme in (EXACT, GREENE_ALDRICH):
+        with pytest.raises(DomainError):
+            centrifugal_term(scheme, math.inf, 1.0)

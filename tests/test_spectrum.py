@@ -5,6 +5,7 @@ import pytest
 from mrspec import (
     DomainError,
     NoBoundStateError,
+    NumericalInstabilityError,
     PotentialParams,
     QuantumState,
     atomic_units,
@@ -137,6 +138,30 @@ def test_solve_state_consistency():
     assert sol.energy == pytest.approx(-energy_scale(U, 40.0) * sol.epsilon**2, rel=1e-15)
     assert sol.Lambda == pytest.approx((sol.a - 1.0) / 2.0, rel=1e-15)
     assert sol.energy == energy(p, U, s)
+
+
+# epsilon from moderate to one whose square overflows a float
+EPSILONS = [20.0, 1e4, 1e8, 1e12, 5e299]
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_energy_is_finite_or_raises(eps):
+    s = QuantumState(n=3, l=1)
+    b = 40.0
+    _, lam = nu_parameters(PotentialParams(A=1.0, alpha=0.75, b=b), s)
+    p = PotentialParams(A=critical_coupling(s, 0.75) + 2.0 * eps * (s.n + 1 + lam),
+                        alpha=0.75, b=b)
+    expected = -energy_scale(U, b) * eps * eps
+    if math.isfinite(expected):
+        assert energy(p, U, s) == pytest.approx(expected, rel=1e-9)
+        assert solve_state(p, U, s).energy == energy(p, U, s)
+    else:
+        with pytest.raises(NumericalInstabilityError):
+            energy(p, U, s)
+        with pytest.raises(NumericalInstabilityError):
+            solve_state(p, U, s)
+        with pytest.raises(NumericalInstabilityError):
+            hulthen_energy(p.A, b, U, s)
 
 
 def test_enumerate_bound_states():

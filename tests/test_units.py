@@ -41,6 +41,15 @@ def test_energy_scale_rejects_nonpositive_b():
         energy_scale(u, -1.0)
 
 
+def test_energy_scale_rejects_non_finite_scale():
+    # 2 mu b^2 underflows to 0 (atomic units), or hbar^2 over it overflows (CO)
+    with pytest.raises(DomainError):
+        energy_scale(atomic_units(), 1e-200)
+    with pytest.raises(DomainError):
+        energy_scale(molecular_units("CO"), 1e-160)
+    assert math.isfinite(energy_scale(atomic_units(), 1e-150))
+
+
 def test_molecular_energy_scales_frozen():
     # independently derived from hbar*c = 197329.0 eV pm and 931.494e6 eV/amu
     scale_hcl = energy_scale(molecular_units("HCl"), 40.0)

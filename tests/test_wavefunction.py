@@ -9,6 +9,7 @@ import scipy.special
 from mrspec import (
     DomainError,
     NoBoundStateError,
+    NumericalInstabilityError,
     PotentialParams,
     QuantumState,
     RadialWavefunction,
@@ -184,9 +185,37 @@ def test_weak_screening_wavefunction_is_normalized(label):
     assert val == pytest.approx(1.0, abs=1e-8)
 
 
+def mp_norm(n, eps, lam, b):
+    # N from the same closed form as normalization_constant. Its log-Gamma
+    # terms are about 2 eps log(2 eps), so resolving their O(1) difference
+    # takes log10(eps) digits beyond the usual 50.
+    with mpmath.workdps(50 + int(math.log10(eps))):
+        e2, l2 = 2 * mpmath.mpf(eps), 2 * mpmath.mpf(lam)
+        lg = mpmath.loggamma
+        log_s = (lg(n + e2 + 1) + lg(n + l2 + 2) - lg(n + 1) - lg(n + e2 + l2 + 2)
+                 + mpmath.log((n + lam + 1) / (e2 * (n + eps + lam + 1))))
+        return mpmath.exp(-(mpmath.log(b) + log_s) / 2)
+
+
+@pytest.mark.parametrize("eps", [20.0, 1e4, 1e8, 1e12, 5e299])
+def test_normalization_far_from_the_tables(eps):
+    # the Gamma ratio must not lose digits as epsilon grows; an N beyond the
+    # float range has to raise instead of coming back as inf, 0 or a crash
+    for n in (0, 3):
+        ref = mp_norm(n, eps, 1.3, 40.0)
+        s = QuantumState(n=n, l=1)
+        if ref < 1e300:
+            got = normalization_constant(s, eps, 1.3, 40.0)
+            assert float(abs(got - ref) / ref) < 1e-9, (n, eps)
+        else:
+            with pytest.raises(NumericalInstabilityError):
+                normalization_constant(s, eps, 1.3, 40.0)
+
+
 def test_normalization_domain():
     s = QuantumState(n=2, l=1)
-    for eps, lam, b in ((0.0, 1.0, 40.0), (1.0, -1.0, 40.0), (1.0, -1.5, 40.0), (1.0, 1.0, 0.0)):
+    for eps, lam, b in ((0.0, 1.0, 40.0), (math.inf, 1.0, 40.0), (1.0, -1.0, 40.0),
+                        (1.0, -1.5, 40.0), (1.0, 1.0, 0.0)):
         with pytest.raises(DomainError):
             normalization_constant(s, eps, lam, b)
 
