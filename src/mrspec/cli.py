@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 usage error, 2 computation/configuration error,
 3 comparison failure under --strict. Output is CSV (RFC-4180 quoting, LF
 line endings, '.' decimal separator) or TSV; energy tables use fixed-point
 notation at the configured precision, figure/wavefunction samples use
-scientific notation.
+scientific notation. spectrum and table load neither numpy nor scipy;
+figure-data and wavefunction load numpy; an oracle solve (table
+--with-oracle, compare) loads numpy and scipy.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import contextlib
 import csv
 import math
 import sys
-
-import numpy as np
 
 from . import oracle
 from .errors import MrspecError
@@ -329,6 +329,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_figure_data(args) -> int:
+    import numpy as np
+
     if args.which == "fig1":
         r_min = 0.05 if args.r_min is None else args.r_min
         r_max = 60.0 if args.r_max is None else args.r_max
@@ -406,6 +408,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_wavefunction(args) -> int:
+    import numpy as np
+
     from .wavefunction import build_radial_wavefunction, radial_value
 
     u = _resolve_units(args)

@@ -20,8 +20,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DomainError
 from .potential import CentrifugalScheme, PotentialParams, centrifugal_term, mr_value
 from .spectrum import QuantumState, _raw_epsilon
@@ -101,19 +99,25 @@ def default_problem(
 
 
 def _interior_nodes(rp: RadialProblem, m: int) -> tuple[np.ndarray, float]:
+    import numpy as np
+
     h = (rp.r_max - rp.r_min) / (m + 1)
     return rp.r_min + h * np.arange(1, m + 1), h
 
 
 def build_effective_potential(rp: RadialProblem, r: np.ndarray | None = None) -> np.ndarray:
     """U(r) = V(r) + (hbar^2/2 mu) l(l+1) * centrifugal(r) on the grid nodes."""
+    import numpy as np
+
     if r is None:
         r, _ = _interior_nodes(rp, rp.grid_points)
     u = rp.units
     U = np.asarray(mr_value(rp.params, u, r), dtype=float)
     if rp.l > 0:
         pref = u.hbar * u.hbar / (2.0 * u.mu) * rp.l * (rp.l + 1)
-        U = U + pref * centrifugal_term(rp.scheme, rp.params.b, r)
+        # both terms are finite; only their sum can still overflow
+        with np.errstate(over="ignore"):
+            U = U + pref * centrifugal_term(rp.scheme, rp.params.b, r)
     if not np.all(np.isfinite(U)):
         raise DomainError("effective potential is not finite on the grid")
     return U
@@ -136,6 +140,8 @@ class NumericalSpectrum:
 
 def _tridiagonal(rp: RadialProblem, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the m-point finite-difference Hamiltonian."""
+    import numpy as np
+
     r, h = _interior_nodes(rp, m)
     U = build_effective_potential(rp, r)
     kin = energy_scale(rp.units, h)  # hbar^2/(2 mu h^2)
@@ -164,7 +170,7 @@ def solve(
     coarse = _lowest_eigenvalues(rp, rp.grid_points, k)
     fine = _lowest_eigenvalues(rp, 2 * rp.grid_points + 1, k)
     extrapolated = (4.0 * fine - coarse) / 3.0
-    err_est = np.abs(fine - coarse) / 3.0
+    err_est = abs(fine - coarse) / 3.0
     eigenvalues = []
     converged = []
     for ev, err in zip(extrapolated, err_est):
@@ -184,6 +190,7 @@ def eigenfunction_nodes(rp: RadialProblem, k: int) -> list[int]:
     """Interior sign-change counts of the k lowest eigenfunctions."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
+    import numpy as np
     from scipy.linalg import eigh_tridiagonal
 
     diag, off = _tridiagonal(rp, rp.grid_points)

@@ -6,7 +6,9 @@ The potential in its two-parameter form is
                                  - A e^{-r/b} / (1 - e^{-r/b}) ]
 
 and depends on alpha only through alpha(alpha-1), so it is invariant under
-alpha -> 1 - alpha. All evaluators accept scalar or array r.
+alpha -> 1 - alpha. All evaluators accept scalar or array r, and raise
+NumericalInstabilityError rather than return a value that is not finite.
+numpy is imported where arrays are built, so `import mrspec` does not load it.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DomainError
+from .errors import DomainError, NumericalInstabilityError
 from .units import UnitSystem, energy_scale
 
 SCHEME_KINDS = ("exact", "greene_aldrich", "shifted")
@@ -79,36 +79,55 @@ SHIFTED = CentrifugalScheme("shifted")
 
 
 def _as_positive_r(r):
+    import numpy as np
+
     arr = np.asarray(r, dtype=float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise DomainError("r must be positive and finite")
     return arr
 
 
-def _maybe_scalar(arr, value):
-    return float(value) if np.ndim(arr) == 0 else value
+def _finite(arr, value, what: str):
+    """value as a float for scalar r, else as an array; it must be finite everywhere."""
+    import numpy as np
+
+    if not np.all(np.isfinite(value)):
+        raise NumericalInstabilityError(f"{what} is not finite at some r for these parameters")
+    return float(value) if arr.ndim == 0 else value
+
+
+def _exp_terms(arr, b: float):
+    """z = e^{-r/b} and 1 - z, the latter stable for small r."""
+    import numpy as np
+
+    x = arr / b
+    return np.exp(-x), -np.expm1(-x)
 
 
 def mr_value(p: PotentialParams, u: UnitSystem, r):
     """Potential value at separation r (> 0)."""
+    import numpy as np
+
     arr = _as_positive_r(r)
-    x = arr / p.b
-    z = np.exp(-x)
-    om = -np.expm1(-x)  # 1 - e^{-r/b}, stable for small r
-    core = p.alpha * (p.alpha - 1.0) * z * z / (om * om) - p.A * z / om
-    return _maybe_scalar(arr, energy_scale(u, p.b) * core)
+    # overflow near the origin or for extreme parameters is caught by _finite
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z, om = _exp_terms(arr, p.b)
+        core = p.alpha * (p.alpha - 1.0) * z * z / (om * om) - p.A * z / om
+        value = energy_scale(u, p.b) * core
+    return _finite(arr, value, "the Manning-Rosen potential")
 
 
 def mr_value_cd(cd: CDForm, b: float, u: UnitSystem, r):
     """Potential in CD form, -(hbar^2/2 mu b^2)(C z + D z^2)/(1-z)^2."""
+    import numpy as np
+
     if not (b > 0):
         raise DomainError(f"screening length must be positive, got {b}")
     arr = _as_positive_r(r)
-    x = arr / b
-    z = np.exp(-x)
-    om = -np.expm1(-x)
-    core = -(cd.C * z + cd.D * z * z) / (om * om)
-    return _maybe_scalar(arr, energy_scale(u, b) * core)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z, om = _exp_terms(arr, b)
+        value = energy_scale(u, b) * (-(cd.C * z + cd.D * z * z) / (om * om))
+    return _finite(arr, value, "the Manning-Rosen potential")
 
 
 def minimum(p: PotentialParams, u: UnitSystem):
@@ -139,15 +158,17 @@ def force_constant(p: PotentialParams, u: UnitSystem) -> float:
 
 def centrifugal_term(s: CentrifugalScheme, b: float, r):
     """The 1/r^2-like factor (units 1/length^2) under the chosen scheme."""
+    import numpy as np
+
     if not (0 < b < math.inf):
         raise DomainError(f"screening length must be positive and finite, got {b}")
     arr = _as_positive_r(r)
-    if s.kind == "exact":
-        return _maybe_scalar(arr, 1.0 / (arr * arr))
-    x = arr / b
-    z = np.exp(-x)
-    om = -np.expm1(-x)
-    ga = z / (om * om) / (b * b)
-    if s.kind == "greene_aldrich":
-        return _maybe_scalar(arr, ga)
-    return _maybe_scalar(arr, ga + s.shift_c0 / (b * b))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if s.kind == "exact":
+            value = 1.0 / (arr * arr)
+        else:
+            z, om = _exp_terms(arr, b)
+            value = z / (om * om) / (b * b)
+            if s.kind == "shifted":
+                value = value + s.shift_c0 / (b * b)
+    return _finite(arr, value, f"the {s.kind} centrifugal term")

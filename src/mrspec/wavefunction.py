@@ -16,15 +16,14 @@ which cancels catastrophically at weak screening. With x = 1 - 2z and
 and the standard moment of the weight (1 - x)^(2 eps - 1) (1 + x)^(2 Lam + 1);
 together they give s(n) as a product of positive factors (see
 `normalization_constant`). For tabulated parameters 2 epsilon reaches ~39,
-so the Gamma ratios are evaluated in log space.
+so the Gamma ratios are evaluated in log space. numpy is imported only by
+the functions that sample R on an array of r.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, NoBoundStateError, NumericalInstabilityError
 from .potential import PotentialParams
@@ -44,6 +43,8 @@ def jacobi(n: int, rho: float, nu: float, xi):
         raise DomainError(f"degree must be a non-negative integer, got {n}")
     if rho <= -1 or nu <= -1:
         raise DomainError(f"indices must exceed -1, got rho={rho}, nu={nu}")
+    import numpy as np
+
     x = np.asarray(xi, dtype=float)
     prev = np.ones_like(x)
     if n == 0:
@@ -161,6 +162,8 @@ class RadialWavefunction:
 
 def radial_value(w: RadialWavefunction, r):
     """R(r) for r >= 0; vanishes at both ends."""
+    import numpy as np
+
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
         raise DomainError("r must be non-negative and finite")

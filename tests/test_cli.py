@@ -291,6 +291,14 @@ def test_non_finite_screening_length_is_rejected():
     assert "finite" in cp.stderr
 
 
+# Finite arguments whose potential or centrifugal values leave the float range
+NON_FINITE_FIGURES = (
+    ("figure-data", "fig1", "--A", "1e308", "--points", "3"),  # A z/(1-z) overflows
+    ("figure-data", "fig1", "--inv-b", "1e-300", "--points", "3"),  # (1-z)^2 underflows
+    ("figure-data", "fig2", "--delta", "1e-300", "--points", "3"),  # the same, in 1/b^2 units
+)
+
+
 def test_overflowing_potentials_are_compute_errors():
     tiny_b = ("--alpha", "0.75", "--b", "1e-200", "--A", "5")  # 2 mu b^2 underflows
     huge_a = ("--alpha", "0.75", "--inv-b", "0.025", "--A", "1e300")  # epsilon^2 overflows
@@ -317,7 +325,8 @@ def test_failure_after_parsing_writes_no_partial_table(tmp_path: Path):
                  ("figure-data", "fig1", "--alphas", "nan"),
                  ("figure-data", "fig2", "--shift-c0", "nan"),
                  ("figure-data", "fig2", "--delta", "1e-320"),  # b = 1/delta overflows
-                 ("figure-data", "fig1", "--alphas", "1e200")):  # alpha(alpha-1) overflows
+                 ("figure-data", "fig1", "--alphas", "1e200"),  # alpha(alpha-1) overflows
+                 *NON_FINITE_FIGURES):
         cp = run_cli(*args)
         assert cp.returncode == 2, args
         assert cp.stdout == "", args
@@ -328,16 +337,38 @@ def test_failure_after_parsing_writes_no_partial_table(tmp_path: Path):
         assert not out.exists(), args
 
 
-# Runs in a fresh interpreter: pytest's own process has scipy loaded already.
+def test_numerical_failure_prints_only_the_error_line():
+    # numpy floating-point warnings must not reach stderr ahead of the error
+    for args in (("compare", "--alpha", "0.75", "--b", "1e-153", "--A", "5", "--states", "2p"),
+                 *NON_FINITE_FIGURES):
+        cp = run_cli(*args)
+        assert cp.returncode == 2, args
+        assert cp.stdout == "", args
+        lines = cp.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("mrspec: error:"), (args, cp.stderr)
+
+
+# Runs in a fresh interpreter: pytest's own process has numpy and scipy
+# loaded already. Every module must still load at `import mrspec.cli`, so
+# only the functions that build arrays import numpy.
 IMPORT_BOUNDARY_SCRIPT = """
 import contextlib, io, sys
 import mrspec
 import mrspec.cli
 from mrspec import solve
 
+def loaded(package):
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
+
+def assert_not_loaded(*packages):
+    found = [m for package in packages for m in loaded(package)]
+    assert not found, found
+
+assert_not_loaded("numpy", "scipy")
 assert mrspec.oracle.solve is solve
 for name in mrspec.__all__:
     getattr(mrspec, name)
+assert_not_loaded("numpy", "scipy")
 
 def run(*argv):
     out = io.StringIO()
@@ -345,17 +376,18 @@ def run(*argv):
         code = mrspec.cli.main(list(argv))
     assert code == 0 and out.getvalue(), (argv, code)
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
 potential = ("--alpha", "0.75", "--inv-b", "0.025")
 run("spectrum", *potential, "--state", "2p,3d")
+run("spectrum", *potential, "--state", "2p,3d", "--molecule", "CO")
 for table in ("table1", "table2", "table3"):
     run("table", table)
+assert_not_loaded("numpy", "scipy")
+
 run("figure-data", "fig1", "--points", "5")
 run("figure-data", "fig2", "--points", "5")
 run("wavefunction", *potential, "--state", "2p", "--points", "5")
-assert not scipy_modules(), scipy_modules()
+assert "numpy" in sys.modules
+assert_not_loaded("scipy")
 
 run("table", "table1", "--with-oracle", "--states", "2p", "--inv-b", "0.025")
 assert "scipy.linalg" in sys.modules

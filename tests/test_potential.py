@@ -10,6 +10,7 @@ from mrspec import (
     CDForm,
     CentrifugalScheme,
     DomainError,
+    NumericalInstabilityError,
     PotentialParams,
     atomic_units,
     centrifugal_term,
@@ -53,6 +54,25 @@ def test_value_rejects_nonpositive_r():
         mr_value(p, U, 0.0)
     with pytest.raises(DomainError):
         mr_value(p, U, np.array([1.0, -2.0]))
+
+
+def test_non_finite_values_raise():
+    # finite parameters whose values leave the float range raise instead of
+    # returning inf or nan; a numpy warning would fail the suite here
+    r = np.array([0.05, 1.0, 60.0])
+    huge_b = 1e300  # (1 - e^{-r/b})^2 underflows to 0
+    for p in (PotentialParams(A=1e308, alpha=0.75, b=40.0),
+              PotentialParams(A=2.0 * huge_b, alpha=0.75, b=huge_b)):
+        for rr in (r, 0.05):
+            with pytest.raises(NumericalInstabilityError):
+                mr_value(p, U, rr)
+            with pytest.raises(NumericalInstabilityError):
+                mr_value_cd(CDForm.from_params(p), p.b, U, rr)
+    for scheme in (GREENE_ALDRICH, SHIFTED):
+        with pytest.raises(NumericalInstabilityError):
+            centrifugal_term(scheme, huge_b, r)
+    with pytest.raises(NumericalInstabilityError):
+        centrifugal_term(EXACT, 10.0, 1e-200)  # r^2 underflows
 
 
 def test_params_validation():
