@@ -75,26 +75,25 @@ def _state_label(text: str) -> QuantumState:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _state_list(text: str) -> list[QuantumState]:
-    if not text.strip():
-        return []
-    return [_state_label(tok) for tok in text.split(",")]
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
 
 
 def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    value = _float(text)
     if not (0 < value < math.inf):
         raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
     return value
 
 
-def _positive_float_list(text: str) -> list[float]:
-    if not text.strip():
-        return []
-    return [_positive_float(tok) for tok in text.split(",")]
+def _comma_list(item):
+    """An argparse type for comma-separated items, each parsed by item; '' gives []."""
+    def parse(text: str) -> list:
+        return [item(tok) for tok in text.split(",")] if text.strip() else []
+    return parse
 
 
 def _strength(text: str):
@@ -109,27 +108,21 @@ def _strength(text: str):
         ) from None
 
 
-def _float_list(text: str) -> list[float]:
-    if not text.strip():
-        return []
-    try:
-        return [float(tok) for tok in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
-
-
 def _resolve_A(a_value, b: float) -> float:
     return 2.0 * b if a_value is None else a_value
 
 
-def _resolve_units(args) -> UnitSystem:
-    if getattr(args, "molecule", None):
-        return molecular_units(args.molecule)
-    return atomic_units()
+def _potential(args) -> tuple[PotentialParams, UnitSystem]:
+    """The potential and unit system named by --molecule, --inv-b/--b, --A and --alpha."""
+    units = molecular_units(args.molecule) if args.molecule else atomic_units()
+    b = 1.0 / args.inv_b if args.b is None else args.b
+    return PotentialParams(A=_resolve_A(args.A, b), alpha=args.alpha, b=b), units
 
 
-def _b_of(args) -> float:
-    return 1.0 / args.inv_b if args.b is None else args.b
+def _table_params(inv_b: float, alpha: float) -> PotentialParams:
+    """The published tables' potential: A = 2b at the tabulated 1/b."""
+    b = 1.0 / inv_b
+    return PotentialParams(A=2.0 * b, alpha=alpha, b=b)
 
 
 def _open_output(path: str | None):
@@ -160,6 +153,11 @@ def _sci(value: float, precision: int) -> str:
     return f"{value:.{precision}e}"
 
 
+def _closed_form_cell(params: PotentialParams, u: UnitSystem, s: QuantumState,
+                      precision: int) -> str:
+    return _fixed(energy(params, u, s), precision) if is_bound(params, s) else "unbound"
+
+
 def _add_common_output(p: argparse.ArgumentParser):
     p.add_argument("--output", "-o", default="-", help="output file, '-' for stdout")
     p.add_argument("--format", choices=("csv", "tsv"), default="csv")
@@ -184,7 +182,7 @@ def build_parser() -> _Parser:
 
     p_spec = sub.add_parser("spectrum", help="closed-form level energies")
     _add_potential_args(p_spec)
-    p_spec.add_argument("--state", action="append", required=True, type=_state_list,
+    p_spec.add_argument("--state", action="append", required=True, type=_comma_list(_state_label),
                         metavar="LABELS", help="spectroscopic labels, comma separated; repeatable")
     p_spec.add_argument("--molecule", help="use the eV/pm system of this registry molecule")
     _add_common_output(p_spec)
@@ -192,9 +190,9 @@ def build_parser() -> _Parser:
 
     p_table = sub.add_parser("table", help="reproduce a published energy table")
     p_table.add_argument("which", choices=("table1", "table2", "table3"))
-    p_table.add_argument("--states", type=_state_list, default=None, metavar="LABELS",
+    p_table.add_argument("--states", type=_comma_list(_state_label), default=None, metavar="LABELS",
                          help="restrict to these spectroscopic labels")
-    p_table.add_argument("--inv-b", type=_float_list, default=None, dest="inv_b_values",
+    p_table.add_argument("--inv-b", type=_comma_list(_float), default=None, dest="inv_b_values",
                          metavar="VALUES", help="restrict to these 1/b values")
     p_table.add_argument("--with-oracle", action="store_true",
                          help="add finite-difference eigenvalue columns (both schemes)")
@@ -207,9 +205,9 @@ def build_parser() -> _Parser:
     p_fig.add_argument("--r-min", type=_positive_float, default=None)
     p_fig.add_argument("--r-max", type=_positive_float, default=None)
     p_fig.add_argument("--points", type=int, default=None)
-    p_fig.add_argument("--alphas", type=_float_list, default=[0.75, 1.5],
+    p_fig.add_argument("--alphas", type=_comma_list(_float), default=[0.75, 1.5],
                        metavar="VALUES", help="fig1 only (default 0.75,1.5)")
-    p_fig.add_argument("--inv-b", type=_positive_float_list, default=[0.025, 0.050, 0.100],
+    p_fig.add_argument("--inv-b", type=_comma_list(_positive_float), default=[0.025, 0.050, 0.100],
                        dest="inv_b_values", metavar="VALUES", help="fig1 only")
     p_fig.add_argument("--A", type=_strength, default=None, metavar="A|2b",
                        help="fig1 only (default 2b)")
@@ -222,7 +220,7 @@ def build_parser() -> _Parser:
 
     p_cmp = sub.add_parser("compare", help="analytic spectrum vs finite-difference solver")
     _add_potential_args(p_cmp)
-    p_cmp.add_argument("--states", type=_state_list, default=None, metavar="LABELS",
+    p_cmp.add_argument("--states", type=_comma_list(_state_label), default=None, metavar="LABELS",
                        help="comma-separated labels (default: the standard table states; "
                             "empty string for an empty report)")
     p_cmp.add_argument("--scheme", choices=("greene_aldrich", "exact", "both"), default="both")
@@ -251,21 +249,15 @@ def build_parser() -> _Parser:
 
 
 def cmd_spectrum(args) -> int:
-    u = _resolve_units(args)
-    b = _b_of(args)
-    params = PotentialParams(A=_resolve_A(args.A, b), alpha=args.alpha, b=b)
+    params, u = _potential(args)
     states = [s for chunk in args.state for s in chunk]
-    rows = []
-    for s in states:
-        cell = _fixed(energy(params, u, s), args.precision) if is_bound(params, s) else "unbound"
-        rows.append([s.label, s.n, s.l, cell])
+    rows = [[s.label, s.n, s.l, _closed_form_cell(params, u, s, args.precision)] for s in states]
     _write_table(args, ["state", "n", "l", "energy"], rows)
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
-    which = args.which
-    rows = TABLE1_ROWS if which == "table1" else TABLE23_ROWS
+    rows = TABLE1_ROWS if args.which == "table1" else TABLE23_ROWS
     if args.states is not None:
         keep = {s.label for s in args.states}
         rows = tuple(rw for rw in rows if rw[0] in keep)
@@ -273,72 +265,60 @@ def cmd_table(args) -> int:
         keep_b = set(args.inv_b_values)
         rows = tuple(rw for rw in rows if rw[1] in keep_b)
 
-    if which == "table1":
-        mol_units = [("", atomic_units())]
-        alpha_cols = [("0.75", 0.75), ("1.5", 1.5)]
+    if args.which == "table1":
+        systems = [("", atomic_units())]
+        alphas = [("0.75", 0.75), ("1.5", 1.5)]
     else:
-        mol_units = [(name, molecular_units(name)) for name in TABLE_MOLECULES[which]]
+        systems = [(f"{name} ", molecular_units(name)) for name in TABLE_MOLECULES[args.which]]
         # alpha = 0 and alpha = 1 give the same (Hulthen) column
-        alpha_cols = [("0,1", 0.0), ("0.75", 0.75), ("1.5", 1.5)]
-
-    header = ["state", "1/b"]
-    for mol_name, _ in mol_units:
-        prefix = f"{mol_name} " if mol_name else ""
-        for alpha_name, _ in alpha_cols:
-            header.append(f"{prefix}alpha={alpha_name}")
-    schemes = (GREENE_ALDRICH, EXACT)
-    oracle_levels: dict[tuple, dict] = {}
+        alphas = [("0,1", 0.0), ("0.75", 0.75), ("1.5", 1.5)]
+    # (header, units, alpha, scheme); scheme None marks a closed-form column
+    columns = [(f"{prefix}alpha={name}", u, alpha, None)
+               for prefix, u in systems for name, alpha in alphas]
     if args.with_oracle:
-        for mol_name, _ in mol_units:
-            prefix = f"{mol_name} " if mol_name else ""
-            for scheme in schemes:
-                for alpha_name, _ in alpha_cols:
-                    header.append(f"{prefix}oracle_{scheme.kind} alpha={alpha_name}")
-        state_by_invb: dict[float, list[QuantumState]] = {}
-        for label, inv_b in rows:
-            state_by_invb.setdefault(inv_b, []).append(QuantumState.from_label(label))
-        for inv_b, states in state_by_invb.items():
-            b = 1.0 / inv_b
-            for mol_name, u in mol_units:
-                for _, alpha in alpha_cols:
-                    params = PotentialParams(A=2.0 * b, alpha=alpha, b=b)
-                    for scheme in schemes:
-                        oracle_levels[(inv_b, mol_name, alpha, scheme)] = oracle.levels(
-                            params, u, states, scheme, args.grid_points)
+        columns += [(f"{prefix}oracle_{scheme.kind} alpha={name}", u, alpha, scheme)
+                    for prefix, u in systems for scheme in (GREENE_ALDRICH, EXACT)
+                    for name, alpha in alphas]
+
+    states_by_inv_b: dict[float, list[QuantumState]] = {}
+    for label, inv_b in rows:
+        states_by_inv_b.setdefault(inv_b, []).append(QuantumState.from_label(label))
+    found = {(inv_b, i): oracle.levels(_table_params(inv_b, alpha), u, states, scheme,
+                                       args.grid_points)
+             for inv_b, states in states_by_inv_b.items()
+             for i, (_, u, alpha, scheme) in enumerate(columns) if scheme is not None}
 
     lines = []
     for label, inv_b in rows:
         s = QuantumState.from_label(label)
-        b = 1.0 / inv_b
         cells = [label, f"{inv_b:.3f}"]
-        for _, u in mol_units:
-            for _, alpha in alpha_cols:
-                params = PotentialParams(A=2.0 * b, alpha=alpha, b=b)
-                cells.append(_fixed(energy(params, u, s), args.precision)
-                             if is_bound(params, s) else "unbound")
-        if args.with_oracle:
-            for mol_name, _ in mol_units:
-                for scheme in schemes:
-                    for _, alpha in alpha_cols:
-                        level = oracle_levels[(inv_b, mol_name, alpha, scheme)].get(s)
-                        cells.append("unbound" if level is None
-                                     else _fixed(level.energy, args.precision))
+        for i, (_, u, alpha, scheme) in enumerate(columns):
+            if scheme is None:
+                cells.append(_closed_form_cell(_table_params(inv_b, alpha), u, s, args.precision))
+            else:
+                level = found[inv_b, i].get(s)
+                cells.append("unbound" if level is None else _fixed(level.energy, args.precision))
         lines.append(cells)
-    _write_table(args, header, lines)
+    _write_table(args, ["state", "1/b"] + [column[0] for column in columns], lines)
     return EXIT_OK
+
+
+# Default (r_min, r_max, points) of each figure's grid
+_FIGURE_GRIDS = {"fig1": (0.05, 60.0, 1200), "fig2": (0.1, 30.0, 600)}
 
 
 def cmd_figure_data(args) -> int:
     import numpy as np
 
+    default_min, default_max, default_points = _FIGURE_GRIDS[args.which]
+    r_min = default_min if args.r_min is None else args.r_min
+    r_max = default_max if args.r_max is None else args.r_max
+    points = default_points if args.points is None else args.points
+    if points < 2 or r_min >= r_max:
+        raise MrspecError("figure grid must be increasing with at least 2 points")
+    r = np.linspace(r_min, r_max, points)
     if args.which == "fig1":
-        r_min = 0.05 if args.r_min is None else args.r_min
-        r_max = 60.0 if args.r_max is None else args.r_max
-        points = 1200 if args.points is None else args.points
-        if points < 2 or r_min >= r_max:
-            raise MrspecError("figure grid must be increasing with at least 2 points")
         u = atomic_units()
-        r = np.linspace(r_min, r_max, points)
         combos = [(alpha, inv_b) for alpha in args.alphas for inv_b in args.inv_b_values]
         header = ["r"] + [f"V(alpha={a:g},1/b={ib:g})" for a, ib in combos]
         columns = [r]
@@ -347,14 +327,8 @@ def cmd_figure_data(args) -> int:
             params = PotentialParams(A=_resolve_A(args.A, b), alpha=alpha, b=b)
             columns.append(mr_value(params, u, r))
     else:
-        r_min = 0.1 if args.r_min is None else args.r_min
-        r_max = 30.0 if args.r_max is None else args.r_max
-        points = 600 if args.points is None else args.points
-        if points < 2 or r_min >= r_max:
-            raise MrspecError("figure grid must be increasing with at least 2 points")
         b = 1.0 / args.delta
         shifted = CentrifugalScheme("shifted", shift_c0=args.shift_c0)
-        r = np.linspace(r_min, r_max, points)
         header = ["r", "1/r^2", "greene_aldrich", "shifted"]
         columns = [r] + [centrifugal_term(scheme, b, r)
                          for scheme in (EXACT, GREENE_ALDRICH, shifted)]
@@ -364,9 +338,7 @@ def cmd_figure_data(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    u = _resolve_units(args)
-    b = _b_of(args)
-    params = PotentialParams(A=_resolve_A(args.A, b), alpha=args.alpha, b=b)
+    params, u = _potential(args)
     if args.states is None:
         states = [QuantumState.from_label(lab) for lab in _FULL_STATE_ORDER]
         states = [s for s in states if is_bound(params, s)]
@@ -412,11 +384,9 @@ def cmd_wavefunction(args) -> int:
 
     from .wavefunction import build_radial_wavefunction, radial_value
 
-    u = _resolve_units(args)
-    b = _b_of(args)
-    params = PotentialParams(A=_resolve_A(args.A, b), alpha=args.alpha, b=b)
+    params, _ = _potential(args)
     wf = build_radial_wavefunction(params, args.state)  # raises when unbound
-    r_max = 60.0 * b / wf.epsilon if args.r_max is None else args.r_max
+    r_max = 60.0 * params.b / wf.epsilon if args.r_max is None else args.r_max
     if args.points < 2:
         raise MrspecError("need at least 2 sample points")
     r = np.linspace(0.0, r_max, args.points)

@@ -130,7 +130,6 @@ class NumericalSpectrum:
     eigenvalues: tuple[float, ...]
     converged: tuple[bool, ...]
     requested: int
-    problem: RadialProblem
 
     @property
     def shortfall(self) -> int:
@@ -159,9 +158,7 @@ def _lowest_eigenvalues(rp: RadialProblem, m: int, k: int) -> np.ndarray:
     )
 
 
-def solve(
-    rp: RadialProblem, k: int, conv_rel: float = CONV_REL, conv_abs: float = CONV_ABS
-) -> NumericalSpectrum:
+def solve(rp: RadialProblem, k: int) -> NumericalSpectrum:
     """The k lowest levels, Richardson-extrapolated, restricted to E < 0."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
@@ -177,12 +174,11 @@ def solve(
         if ev >= 0.0:
             continue
         eigenvalues.append(float(ev))
-        converged.append(bool(err <= max(conv_rel * abs(ev), conv_abs)))
+        converged.append(bool(err <= max(CONV_REL * abs(ev), CONV_ABS)))
     return NumericalSpectrum(
         eigenvalues=tuple(eigenvalues),
         converged=tuple(converged),
         requested=k,
-        problem=rp,
     )
 
 

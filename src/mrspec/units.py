@@ -14,7 +14,12 @@ import math
 import os
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, DomainError, UnknownMoleculeError
+from .errors import (
+    ConfigurationError,
+    DomainError,
+    NumericalInstabilityError,
+    UnknownMoleculeError,
+)
 
 # hbar*c = 1973.29 eV*Angstrom expressed in eV*pm
 HBAR_C_EV_PM = 197329.0
@@ -31,14 +36,12 @@ class UnitSystem:
     """A (hbar, reduced mass) pair fixing energy and length units.
 
     ``e2`` is the squared elementary charge in energy*length units; it only
-    enters Coulomb-limit calculations. ``hbar_c`` is set in energy*length
-    presets and None in atomic units.
+    enters Coulomb-limit calculations.
     """
 
     hbar: float
     mu: float
     e2: float = 1.0
-    hbar_c: float | None = None
     label: str = "custom"
 
     def __post_init__(self):
@@ -65,7 +68,7 @@ class Molecule:
 
 def atomic_units() -> UnitSystem:
     """hbar = mu = 1; energies in hartree, lengths in bohr."""
-    return UnitSystem(hbar=1.0, mu=1.0, e2=1.0, hbar_c=None, label="atomic")
+    return UnitSystem(hbar=1.0, mu=1.0, e2=1.0, label="atomic")
 
 
 def ev_pm_units(mu_ev: float, label: str = "eV-pm") -> UnitSystem:
@@ -74,7 +77,6 @@ def ev_pm_units(mu_ev: float, label: str = "eV-pm") -> UnitSystem:
         hbar=HBAR_C_EV_PM,
         mu=mu_ev,
         e2=FINE_STRUCTURE * HBAR_C_EV_PM,
-        hbar_c=HBAR_C_EV_PM,
         label=label,
     )
 
@@ -92,13 +94,21 @@ def electron_units() -> UnitSystem:
 
 
 def energy_scale(u: UnitSystem, b: float) -> float:
-    """The spectral prefactor hbar^2/(2 mu b^2) for screening length b."""
+    """The spectral prefactor hbar^2/(2 mu b^2) for screening length b.
+
+    A scale that overflows is a domain error; one that underflows to 0 (a
+    huge b) would turn every energy into a plausible -0, so it raises.
+    """
     if not (b > 0):
         raise DomainError(f"screening length must be positive, got {b}")
     denominator = 2.0 * u.mu * b * b
     scale = u.hbar * u.hbar / denominator if denominator > 0 else math.inf
     if not math.isfinite(scale):
         raise DomainError(f"energy scale hbar^2/(2 mu b^2) is not finite for b={b!r}")
+    if scale == 0.0:
+        raise NumericalInstabilityError(
+            f"energy scale hbar^2/(2 mu b^2) underflows to 0 for b={b!r}"
+        )
     return scale
 
 

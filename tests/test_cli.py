@@ -279,6 +279,29 @@ def test_table_with_oracle_columns():
     ga = float(row[header.index("oracle_greene_aldrich alpha=0.75")])
     assert ga == pytest.approx(analytic, abs=1e-5)
 
+    # molecular columns at the default grid, within the bench's 1e-6 eV
+    cp = run_cli("table", "table3", "--states", "2p", "--inv-b", "0.025", "--with-oracle")
+    assert cp.returncode == 0, cp.stderr
+    header, rows = parse_csv(cp.stdout)
+    assert header == [
+        "state", "1/b",
+        "LiH alpha=0,1", "LiH alpha=0.75", "LiH alpha=1.5",
+        "CO alpha=0,1", "CO alpha=0.75", "CO alpha=1.5",
+        "LiH oracle_greene_aldrich alpha=0,1", "LiH oracle_greene_aldrich alpha=0.75",
+        "LiH oracle_greene_aldrich alpha=1.5",
+        "LiH oracle_exact alpha=0,1", "LiH oracle_exact alpha=0.75", "LiH oracle_exact alpha=1.5",
+        "CO oracle_greene_aldrich alpha=0,1", "CO oracle_greene_aldrich alpha=0.75",
+        "CO oracle_greene_aldrich alpha=1.5",
+        "CO oracle_exact alpha=0,1", "CO oracle_exact alpha=0.75", "CO oracle_exact alpha=1.5",
+    ]
+    (row,) = rows
+    alphas = ("alpha=0,1", "alpha=0.75", "alpha=1.5")
+    for mol in ("LiH", "CO"):
+        for a in alphas:
+            analytic = float(row[header.index(f"{mol} {a}")])
+            ga = float(row[header.index(f"{mol} oracle_greene_aldrich {a}")])
+            assert ga == pytest.approx(analytic, abs=1e-6), (mol, a)
+
 
 def test_non_finite_screening_length_is_rejected():
     base = ("spectrum", "--alpha", "0.75", "--A", "5", "--state", "1s")
@@ -294,7 +317,7 @@ def test_non_finite_screening_length_is_rejected():
 # Finite arguments whose potential or centrifugal values leave the float range
 NON_FINITE_FIGURES = (
     ("figure-data", "fig1", "--A", "1e308", "--points", "3"),  # A z/(1-z) overflows
-    ("figure-data", "fig1", "--inv-b", "1e-300", "--points", "3"),  # (1-z)^2 underflows
+    ("figure-data", "fig1", "--inv-b", "1e-300", "--points", "3"),  # hbar^2/(2 mu b^2) underflows
     ("figure-data", "fig2", "--delta", "1e-300", "--points", "3"),  # the same, in 1/b^2 units
 )
 
@@ -302,8 +325,11 @@ NON_FINITE_FIGURES = (
 def test_overflowing_potentials_are_compute_errors():
     tiny_b = ("--alpha", "0.75", "--b", "1e-200", "--A", "5")  # 2 mu b^2 underflows
     huge_a = ("--alpha", "0.75", "--inv-b", "0.025", "--A", "1e300")  # epsilon^2 overflows
+    huge_b = ("--alpha", "0.75", "--inv-b", "1e-200")  # hbar^2/(2 mu b^2) underflows to 0
     for args in (("spectrum", *tiny_b, "--state", "2p"),
                  ("compare", *tiny_b, "--states", "2p"),
+                 ("spectrum", *huge_b, "--state", "2p"),
+                 ("compare", *huge_b, "--states", "2p"),
                  ("spectrum", *huge_a, "--state", "2p"),
                  ("wavefunction", *huge_a, "--state", "2p")):
         cp = run_cli(*args)

@@ -173,6 +173,5 @@ def test_levels_of_no_states_is_empty():
 
 
 def test_numerical_spectrum_shortfall_property():
-    rp = default_problem(P075, U, 1, GREENE_ALDRICH, n_max=0)
-    ns = NumericalSpectrum(eigenvalues=(-0.1,), converged=(True,), requested=3, problem=rp)
+    ns = NumericalSpectrum(eigenvalues=(-0.1,), converged=(True,), requested=3)
     assert ns.shortfall == 2

@@ -6,6 +6,7 @@ from mrspec import (
     ConfigurationError,
     DomainError,
     Molecule,
+    NumericalInstabilityError,
     UnitSystem,
     UnknownMoleculeError,
     atomic_units,
@@ -47,6 +48,9 @@ def test_energy_scale_rejects_non_finite_scale():
         energy_scale(atomic_units(), 1e-200)
     with pytest.raises(DomainError):
         energy_scale(molecular_units("CO"), 1e-160)
+    # 2 mu b^2 overflows, so the scale underflows to 0
+    with pytest.raises(NumericalInstabilityError):
+        energy_scale(atomic_units(), 1e200)
     assert math.isfinite(energy_scale(atomic_units(), 1e-150))
 
 
