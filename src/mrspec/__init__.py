@@ -55,7 +55,6 @@ from .units import (
     UnitSystem,
     atomic_units,
     electron_units,
-    energy_scale,
     ev_pm_units,
     get_molecule,
     molecular_units,
@@ -86,9 +85,8 @@ __all__ = [
     "NUSolution", "QuantumState", "coulomb_energy", "critical_coupling",
     "energy", "enumerate_bound_states", "epsilon_of", "hulthen_energy",
     "is_bound", "nu_parameters", "solve_state",
-    "Molecule", "UnitSystem", "atomic_units", "electron_units", "energy_scale",
-    "ev_pm_units", "get_molecule", "molecular_units", "molecule_registry",
-    "parse_registry_file",
+    "Molecule", "UnitSystem", "atomic_units", "electron_units", "ev_pm_units",
+    "get_molecule", "molecular_units", "molecule_registry", "parse_registry_file",
     "RadialWavefunction", "build_radial_wavefunction", "hulthen_wavefunction",
     "hyp_integral", "jacobi", "normalization_constant", "radial_value",
     "__version__",

@@ -112,11 +112,15 @@ def _resolve_A(a_value, b: float) -> float:
     return 2.0 * b if a_value is None else a_value
 
 
-def _potential(args) -> tuple[PotentialParams, UnitSystem]:
-    """The potential and unit system named by --molecule, --inv-b/--b, --A and --alpha."""
-    units = molecular_units(args.molecule) if args.molecule else atomic_units()
+def _units(args) -> UnitSystem:
+    """The eV/pm system of --molecule, or atomic units without it."""
+    return molecular_units(args.molecule) if args.molecule else atomic_units()
+
+
+def _potential(args) -> PotentialParams:
+    """The potential named by --inv-b/--b, --A and --alpha."""
     b = 1.0 / args.inv_b if args.b is None else args.b
-    return PotentialParams(A=_resolve_A(args.A, b), alpha=args.alpha, b=b), units
+    return PotentialParams(A=_resolve_A(args.A, b), alpha=args.alpha, b=b)
 
 
 def _table_params(inv_b: float, alpha: float) -> PotentialParams:
@@ -238,7 +242,6 @@ def build_parser() -> _Parser:
     p_wf = sub.add_parser("wavefunction", help="sample a normalized radial wavefunction")
     _add_potential_args(p_wf)
     p_wf.add_argument("--state", type=_state_label, required=True, metavar="LABEL")
-    p_wf.add_argument("--molecule", help="use the eV/pm system of this registry molecule")
     p_wf.add_argument("--r-max", type=_positive_float, default=None,
                       help="default: 60 b / epsilon")
     p_wf.add_argument("--points", type=int, default=1000)
@@ -249,7 +252,7 @@ def build_parser() -> _Parser:
 
 
 def cmd_spectrum(args) -> int:
-    params, u = _potential(args)
+    u, params = _units(args), _potential(args)
     states = [s for chunk in args.state for s in chunk]
     rows = [[s.label, s.n, s.l, _closed_form_cell(params, u, s, args.precision)] for s in states]
     _write_table(args, ["state", "n", "l", "energy"], rows)
@@ -297,7 +300,9 @@ def cmd_table(args) -> int:
                 cells.append(_closed_form_cell(_table_params(inv_b, alpha), u, s, args.precision))
             else:
                 level = found[inv_b, i].get(s)
-                cells.append("unbound" if level is None else _fixed(level.energy, args.precision))
+                cells.append("unbound" if level is None
+                             else "unconverged" if not level.converged
+                             else _fixed(level.energy, args.precision))
         lines.append(cells)
     _write_table(args, ["state", "1/b"] + [column[0] for column in columns], lines)
     return EXIT_OK
@@ -338,7 +343,7 @@ def cmd_figure_data(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    params, u = _potential(args)
+    u, params = _units(args), _potential(args)
     if args.states is None:
         states = [QuantumState.from_label(lab) for lab in _FULL_STATE_ORDER]
         states = [s for s in states if is_bound(params, s)]
@@ -384,7 +389,7 @@ def cmd_wavefunction(args) -> int:
 
     from .wavefunction import build_radial_wavefunction, radial_value
 
-    params, _ = _potential(args)
+    params = _potential(args)
     wf = build_radial_wavefunction(params, args.state)  # raises when unbound
     r_max = 60.0 * params.b / wf.epsilon if args.r_max is None else args.r_max
     if args.points < 2:

@@ -1,6 +1,7 @@
 """Independent finite-difference eigensolver for the radial problem.
 
-This solver never touches the closed-form spectrum: it discretizes
+Its eigenvalues never use the closed-form spectrum; only the box size in
+`default_problem` is taken from the closed-form epsilon. It discretizes
 -(hbar^2/2 mu) R'' + U(r) R = E R with central second differences on a
 uniform grid, Dirichlet ends, and finds the lowest eigenvalues of the
 symmetric tridiagonal matrix by LAPACK bisection/Sturm counting. Each
@@ -16,14 +17,15 @@ plays the role of an independent reference spectrum.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, NumericalInstabilityError
 from .potential import CentrifugalScheme, PotentialParams, centrifugal_term, mr_value
 from .spectrum import QuantumState, _raw_epsilon
-from .units import UnitSystem, energy_scale
+from .units import UnitSystem
 
 # Sturm bisection needs an absolute tolerance: the default (eps * Gershgorin
 # interval) is ruined by the huge near-origin centrifugal values.
@@ -114,7 +116,7 @@ def build_effective_potential(rp: RadialProblem, r: np.ndarray | None = None) ->
     u = rp.units
     U = np.asarray(mr_value(rp.params, u, r), dtype=float)
     if rp.l > 0:
-        pref = u.hbar * u.hbar / (2.0 * u.mu) * rp.l * (rp.l + 1)
+        pref = u.kinetic * rp.l * (rp.l + 1)
         # both terms are finite; only their sum can still overflow
         with np.errstate(over="ignore"):
             U = U + pref * centrifugal_term(rp.scheme, rp.params.b, r)
@@ -143,7 +145,9 @@ def _tridiagonal(rp: RadialProblem, m: int) -> tuple[np.ndarray, np.ndarray]:
 
     r, h = _interior_nodes(rp, m)
     U = build_effective_potential(rp, r)
-    kin = energy_scale(rp.units, h)  # hbar^2/(2 mu h^2)
+    kin = rp.units.kinetic / (h * h) if h * h > 0 else math.inf
+    if not (0 < kin < math.inf):
+        raise NumericalInstabilityError(f"kinetic coupling hbar^2/(2 mu h^2) is {kin} at h={h:.6g}")
     return 2.0 * kin + U, np.full(m - 1, -kin)
 
 

@@ -6,7 +6,9 @@ The potential in its two-parameter form is
                                  - A e^{-r/b} / (1 - e^{-r/b}) ]
 
 and depends on alpha only through alpha(alpha-1), so it is invariant under
-alpha -> 1 - alpha. All evaluators accept scalar or array r, and raise
+alpha -> 1 - alpha. No evaluator forms hbar^2/(2 mu b^2), which leaves the
+float range long before V does: 1/b goes into w = z/(b(1 - z)) and A/b,
+z = e^{-r/b}. All evaluators accept scalar or array r, and raise
 NumericalInstabilityError rather than return a value that is not finite.
 numpy is imported where arrays are built, so `import mrspec` does not load it.
 """
@@ -17,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NumericalInstabilityError
-from .units import UnitSystem, energy_scale
+from .units import UnitSystem
 
 SCHEME_KINDS = ("exact", "greene_aldrich", "shifted")
 
@@ -97,11 +99,11 @@ def _finite(arr, value, what: str):
 
 
 def _exp_terms(arr, b: float):
-    """z = e^{-r/b} and 1 - z, the latter stable for small r."""
+    """z = e^{-r/b} and b(1 - z), the latter stable for small r."""
     import numpy as np
 
     x = arr / b
-    return np.exp(-x), -np.expm1(-x)
+    return np.exp(-x), -b * np.expm1(-x)
 
 
 def mr_value(p: PotentialParams, u: UnitSystem, r):
@@ -111,9 +113,9 @@ def mr_value(p: PotentialParams, u: UnitSystem, r):
     arr = _as_positive_r(r)
     # overflow near the origin or for extreme parameters is caught by _finite
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        z, om = _exp_terms(arr, p.b)
-        core = p.alpha * (p.alpha - 1.0) * z * z / (om * om) - p.A * z / om
-        value = energy_scale(u, p.b) * core
+        z, bom = _exp_terms(arr, p.b)
+        w = z / bom
+        value = u.kinetic * w * (p.alpha * (p.alpha - 1.0) * w - p.A / p.b)
     return _finite(arr, value, "the Manning-Rosen potential")
 
 
@@ -125,8 +127,8 @@ def mr_value_cd(cd: CDForm, b: float, u: UnitSystem, r):
         raise DomainError(f"screening length must be positive, got {b}")
     arr = _as_positive_r(r)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        z, om = _exp_terms(arr, b)
-        value = energy_scale(u, b) * (-(cd.C * z + cd.D * z * z) / (om * om))
+        z, bom = _exp_terms(arr, b)
+        value = -u.kinetic * (cd.C * z + cd.D * z * z) / (bom * bom)
     return _finite(arr, value, "the Manning-Rosen potential")
 
 
@@ -142,8 +144,8 @@ def minimum(p: PotentialParams, u: UnitSystem):
     if aa <= 0.0 or p.A <= 0.0:
         return None
     r0 = p.b * math.log1p(2.0 * aa / p.A)
-    v0 = -energy_scale(u, p.b) * p.A * p.A / (4.0 * aa)
-    return r0, v0
+    x = p.A / p.b
+    return r0, -u.kinetic * x * x / (4.0 * aa)
 
 
 def force_constant(p: PotentialParams, u: UnitSystem) -> float:
@@ -151,9 +153,10 @@ def force_constant(p: PotentialParams, u: UnitSystem) -> float:
     if minimum(p, u) is None:
         raise DomainError("potential has no interior minimum for these parameters")
     aa = p.alpha * (p.alpha - 1.0)
-    pref = u.hbar * u.hbar / (2.0 * u.mu)
-    bracket = p.A + 2.0 * aa
-    return pref * p.A * p.A * bracket * bracket / (8.0 * p.b**4 * aa**3)
+    # kinetic (A/b)^2 ((A/aa + 2)/b)^2 / (8 aa): no power of b or aa is formed
+    x = p.A / p.b
+    y = (p.A / aa + 2.0) / p.b
+    return u.kinetic * x * x * y * y / (8.0 * aa)
 
 
 def centrifugal_term(s: CentrifugalScheme, b: float, r):
@@ -167,8 +170,9 @@ def centrifugal_term(s: CentrifugalScheme, b: float, r):
         if s.kind == "exact":
             value = 1.0 / (arr * arr)
         else:
-            z, om = _exp_terms(arr, b)
-            value = z / (om * om) / (b * b)
+            z, bom = _exp_terms(arr, b)
+            value = z / (bom * bom)
             if s.kind == "shifted":
-                value = value + s.shift_c0 / (b * b)
+                # b * b underflows to 0 for b below 1e-162; numpy gives inf
+                value = value + np.divide(s.shift_c0, b * b)
     return _finite(arr, value, f"the {s.kind} centrifugal term")

@@ -18,11 +18,12 @@ is the Coulomb one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, NoBoundStateError, NumericalInstabilityError
 from .potential import PotentialParams
-from .units import UnitSystem, atomic_units, energy_scale
+from .units import UnitSystem, atomic_units
 
 # j is skipped by spectroscopic convention; s and p are not reused
 SPECTROSCOPIC_LETTERS = "spdfghiklmnoqrtuvwxyz"
@@ -38,6 +39,8 @@ class QuantumState:
     def __post_init__(self):
         if self.n < 0 or self.l < 0:
             raise DomainError(f"quantum numbers must be non-negative, got n={self.n} l={self.l}")
+        if max(self.n, self.l) > sys.float_info.max:
+            raise DomainError("quantum numbers must not exceed the float range")
 
     @property
     def principal(self) -> int:
@@ -106,7 +109,8 @@ def epsilon_of(p: PotentialParams, s: QuantumState) -> float:
 
 
 def _level_energy(u: UnitSystem, b: float, eps: float) -> float:
-    e = -energy_scale(u, b) * eps * eps
+    x = eps / b
+    e = -u.kinetic * x * x
     if not math.isfinite(e):
         raise NumericalInstabilityError(
             f"energy -(hbar^2/2 mu b^2) epsilon^2 is not finite for epsilon={eps:.6g}, b={b:.6g}"
@@ -129,7 +133,8 @@ def solve_state(p: PotentialParams, u: UnitSystem, s: QuantumState) -> NUSolutio
 def critical_coupling(s: QuantumState, alpha: float) -> float:
     """Strength A_c at which the level reaches zero binding energy."""
     lam = _lambda_of(alpha, s.l)
-    return (s.n + 1 + lam) ** 2 - lam * (lam + 1.0) + s.l * (s.l + 1)
+    k = s.n + 1 + lam
+    return k * k - lam * (lam + 1.0) + s.l * (s.l + 1)
 
 
 def is_bound(p: PotentialParams, s: QuantumState) -> bool:
@@ -175,5 +180,5 @@ def coulomb_energy(Z: float, u: UnitSystem, s: QuantumState) -> float:
     if not (Z > 0):
         raise DomainError(f"Z must be positive, got {Z}")
     N = s.principal
-    eps0 = Z * Z * u.mu * u.e2 * u.e2 / (2.0 * u.hbar * u.hbar)
+    eps0 = Z * Z * u.e2 * u.e2 / (4.0 * u.kinetic)
     return -eps0 / (N * N)

@@ -4,8 +4,8 @@ Two presets cover everything the tables need: exact atomic units
 (hbar = mu = 1, lengths in bohr, energies in hartree) and an eV/pm system
 for diatomic molecules. The eV/pm system uses c = 1 bookkeeping: the
 ``hbar`` field stores hbar*c in eV*pm and ``mu`` stores mu*c^2 in eV, so
-hbar^2/(2 mu b^2) is an energy in eV for b in pm without any further
-conversion factors.
+``kinetic`` = hbar^2/(2 mu) is in eV*pm^2 without any further conversion
+factors. Every energy is ``kinetic`` times a number in 1/length^2.
 """
 
 from __future__ import annotations
@@ -14,12 +14,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    NumericalInstabilityError,
-    UnknownMoleculeError,
-)
+from .errors import ConfigurationError, DomainError, UnknownMoleculeError
 
 # hbar*c = 1973.29 eV*Angstrom expressed in eV*pm
 HBAR_C_EV_PM = 197329.0
@@ -49,6 +44,13 @@ class UnitSystem:
             raise DomainError(f"hbar must be positive, got {self.hbar}")
         if not (self.mu > 0):
             raise DomainError(f"reduced mass must be positive, got {self.mu}")
+        if not (0 < self.kinetic < math.inf):
+            raise DomainError(f"hbar^2/(2 mu) must be positive and finite, got {self.kinetic}")
+
+    @property
+    def kinetic(self) -> float:
+        """hbar^2/(2 mu); the energy scale of screening length b is kinetic/b^2."""
+        return self.hbar * self.hbar / (2.0 * self.mu)
 
 
 @dataclass(frozen=True)
@@ -91,25 +93,6 @@ def molecular_units(mol: Molecule | str, registry: list[Molecule] | None = None)
 def electron_units() -> UnitSystem:
     """eV/pm system with the electron as the reduced mass (hydrogen-like problems)."""
     return ev_pm_units(ELECTRON_MASS_EV, label="eV-pm[electron]")
-
-
-def energy_scale(u: UnitSystem, b: float) -> float:
-    """The spectral prefactor hbar^2/(2 mu b^2) for screening length b.
-
-    A scale that overflows is a domain error; one that underflows to 0 (a
-    huge b) would turn every energy into a plausible -0, so it raises.
-    """
-    if not (b > 0):
-        raise DomainError(f"screening length must be positive, got {b}")
-    denominator = 2.0 * u.mu * b * b
-    scale = u.hbar * u.hbar / denominator if denominator > 0 else math.inf
-    if not math.isfinite(scale):
-        raise DomainError(f"energy scale hbar^2/(2 mu b^2) is not finite for b={b!r}")
-    if scale == 0.0:
-        raise NumericalInstabilityError(
-            f"energy scale hbar^2/(2 mu b^2) underflows to 0 for b={b!r}"
-        )
-    return scale
 
 
 _DEFAULT_MOLECULES = (

@@ -35,7 +35,7 @@ def jacobi(n: int, rho: float, nu: float, xi):
     """Jacobi polynomial P_n^(rho, nu)(xi) by the three-term recurrence.
 
     The recurrence is numerically stable for the index ranges arising here
-    (rho = 2 epsilon > 0, nu = 2 Lambda + 1 >= 1); the explicit finite sums
+    (rho = 2 epsilon > 0, nu = 2 Lambda + 1 >= 0); the explicit finite sums
     cancel catastrophically already at moderate n and are used only as test
     oracles.
     """
@@ -148,12 +148,12 @@ class RadialWavefunction:
     norm: float
 
     def __post_init__(self):
-        # Lambda > -1/2 keeps the Jacobi parameter 2 Lambda + 1 above -1 and
-        # the boundary exponent 1 + Lambda above 1/2; l = 0 with fractional
-        # alpha legitimately lands in (-1/2, 0)
-        if not (self.epsilon > 0 and self.Lambda > -0.5 and self.norm > 0 and self.b > 0):
+        # Lambda = (a - 1)/2 >= -1/2 for every alpha and l, with equality only
+        # at alpha = 1/2, l = 0; there the Jacobi parameter 2 Lambda + 1 = 0
+        # is still above -1 and the boundary exponent 1 + Lambda is 1/2
+        if not (self.epsilon > 0 and self.Lambda >= -0.5 and self.norm > 0 and self.b > 0):
             raise DomainError(
-                "RadialWavefunction requires epsilon, norm, b > 0 and Lambda > -1/2"
+                "RadialWavefunction requires epsilon, norm, b > 0 and Lambda >= -1/2"
             )
 
     def __call__(self, r):
@@ -193,7 +193,7 @@ def hulthen_wavefunction(Z: float, delta: float, u: UnitSystem, state: QuantumSt
     """
     if not (delta > 0):
         raise DomainError(f"screening parameter delta must be positive, got {delta}")
-    A = 2.0 * u.mu * Z * u.e2 / (u.hbar * u.hbar * delta)
+    A = Z * u.e2 / (u.kinetic * delta)
     N = state.principal
     if A <= N * N:
         raise NoBoundStateError(

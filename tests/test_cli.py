@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,18 @@ from pathlib import Path
 import pytest
 
 import mrspec
-from mrspec import PotentialParams, QuantumState, atomic_units, energy, molecular_units
+from mrspec import (
+    EXACT,
+    GREENE_ALDRICH,
+    PotentialParams,
+    QuantumState,
+    atomic_units,
+    energy,
+    levels,
+    molecular_units,
+)
+
+HUGE_PRINCIPAL = "1" + "0" * 200  # within the float range; its A_c overflows
 
 
 def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
@@ -116,10 +128,11 @@ def test_spectrum_repeatable_state_flag():
 
 
 def test_spectrum_unbound_state_is_a_row_not_an_error():
-    cp = run_cli("spectrum", "--alpha", "0.75", "--inv-b", "0.1", "--state", "5g")
-    assert cp.returncode == 0, cp.stderr
-    _, rows = parse_csv(cp.stdout)
-    assert rows[0][3] == "unbound"
+    for label in ("5g", HUGE_PRINCIPAL + "p"):
+        cp = run_cli("spectrum", "--alpha", "0.75", "--inv-b", "0.1", "--state", label)
+        assert cp.returncode == 0, cp.stderr
+        _, rows = parse_csv(cp.stdout)
+        assert rows[0][3] == "unbound"
 
 
 def test_tsv_format():
@@ -139,10 +152,11 @@ def test_precision_is_range_checked():
 
 
 def test_malformed_label_is_usage_error():
-    for label in ("1p", "0s", "2x", "p"):
+    # a principal number above the float range is refused, not a traceback
+    for label in ("1p", "0s", "2x", "p", "1" + "0" * 400 + "p"):
         cp = run_cli("spectrum", "--alpha", "0.75", "--inv-b", "0.025", "--state", label)
         assert cp.returncode == 1, label
-        assert "error" in cp.stderr
+        assert "error: argument --state" in cp.stderr, label
 
 
 def test_missing_and_conflicting_arguments():
@@ -153,6 +167,11 @@ def test_missing_and_conflicting_arguments():
     cp = run_cli("spectrum", "--alpha", "0.75", "--inv-b", "0.025", "--b", "40",
                  "--state", "2p")
     assert cp.returncode == 1
+    # R(r) depends on A, alpha and b only, so wavefunction takes no unit system
+    cp = run_cli("wavefunction", "--alpha", "0.75", "--inv-b", "0.025", "--state", "2p",
+                 "--molecule", "HCl")
+    assert cp.returncode == 1
+    assert "--molecule" in cp.stderr
 
 
 def test_unknown_molecule_is_compute_error():
@@ -268,8 +287,7 @@ def test_wavefunction_samples():
 
 
 def test_table_with_oracle_columns():
-    cp = run_cli("table", "table1", "--states", "2p", "--inv-b", "0.025",
-                 "--with-oracle", "--grid-points", "5000")
+    cp = run_cli("table", "table1", "--states", "2p", "--inv-b", "0.025", "--with-oracle")
     assert cp.returncode == 0, cp.stderr
     header, rows = parse_csv(cp.stdout)
     assert "oracle_greene_aldrich alpha=0.75" in header
@@ -303,6 +321,29 @@ def test_table_with_oracle_columns():
             assert ga == pytest.approx(analytic, abs=1e-6), (mol, a)
 
 
+def test_table_with_oracle_marks_unconverged_cells():
+    # a coarse grid leaves most oracle levels unconverged; none prints as a number
+    cp = run_cli("table", "table1", "--states", "2p,3d", "--inv-b", "0.025,0.05",
+                 "--with-oracle", "--grid-points", "1000")
+    assert cp.returncode == 0, cp.stderr
+    header, rows = parse_csv(cp.stdout)
+    converged = []
+    for row in rows:
+        s = QuantumState.from_label(row[0])
+        b = 1.0 / float(row[1])
+        for scheme in (GREENE_ALDRICH, EXACT):
+            for alpha in (0.75, 1.5):
+                params = PotentialParams(A=2.0 * b, alpha=alpha, b=b)
+                level = levels(params, atomic_units(), [s], scheme, 1000)[s]
+                cell = row[header.index(f"oracle_{scheme.kind} alpha={alpha:g}")]
+                if level.converged:
+                    assert float(cell) == pytest.approx(level.energy, abs=1e-7), (row[:2], cell)
+                else:
+                    assert cell == "unconverged", (row[:2], cell)
+                converged.append(level.converged)
+    assert any(converged) and not all(converged)
+
+
 def test_non_finite_screening_length_is_rejected():
     base = ("spectrum", "--alpha", "0.75", "--A", "5", "--state", "1s")
     cp = run_cli(*base, "--b", "inf")
@@ -316,19 +357,36 @@ def test_non_finite_screening_length_is_rejected():
 
 # Finite arguments whose potential or centrifugal values leave the float range
 NON_FINITE_FIGURES = (
-    ("figure-data", "fig1", "--A", "1e308", "--points", "3"),  # A z/(1-z) overflows
-    ("figure-data", "fig1", "--inv-b", "1e-300", "--points", "3"),  # hbar^2/(2 mu b^2) underflows
-    ("figure-data", "fig2", "--delta", "1e-300", "--points", "3"),  # the same, in 1/b^2 units
+    ("figure-data", "fig1", "--A", "1e308", "--r-min", "1e-10", "--points", "3"),  # A/(b r)
+    ("figure-data", "fig2", "--delta", "1e300", "--points", "3"),  # c0/b^2 overflows
 )
 
 
+def test_extreme_parameters_with_finite_values_print_them():
+    # hbar^2/(2 mu b^2) leaves the float range here, but no printed value does
+    for args, first_row in (
+        (("spectrum", "--alpha", "0.75", "--inv-b", "1e-200", "--state", "2p"),
+         ["2p", "0", "1", "-0.1333817"]),  # as at --inv-b 1e-100
+        (("figure-data", "fig1", "--inv-b", "1e-300", "--points", "3"),
+         ["5.0000000e-02", "-5.7500000e+01", "1.3000000e+02"]),  # (a/r^2 - 2/r)/2
+        (("figure-data", "fig2", "--delta", "1e-300", "--points", "3"),
+         ["1.0000000e-01"] + ["1.0000000e+02"] * 3),  # every column is 1/r^2
+        (("figure-data", "fig1", "--A", "1e308", "--points", "3"), None),
+    ):
+        cp = run_cli(*args)
+        assert cp.returncode == 0, (args, cp.stderr)
+        _, rows = parse_csv(cp.stdout)
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row[1:]), args
+        if first_row is not None:
+            assert rows[0] == first_row, args
+
+
 def test_overflowing_potentials_are_compute_errors():
-    tiny_b = ("--alpha", "0.75", "--b", "1e-200", "--A", "5")  # 2 mu b^2 underflows
+    tiny_b = ("--alpha", "0.75", "--b", "1e-200", "--A", "5")  # epsilon/b squared overflows
     huge_a = ("--alpha", "0.75", "--inv-b", "0.025", "--A", "1e300")  # epsilon^2 overflows
-    huge_b = ("--alpha", "0.75", "--inv-b", "1e-200")  # hbar^2/(2 mu b^2) underflows to 0
+    huge_b = ("--alpha", "0.75", "--inv-b", "1e-200")  # the oracle's hbar^2/(2 mu h^2) is 0
     for args in (("spectrum", *tiny_b, "--state", "2p"),
                  ("compare", *tiny_b, "--states", "2p"),
-                 ("spectrum", *huge_b, "--state", "2p"),
                  ("compare", *huge_b, "--states", "2p"),
                  ("spectrum", *huge_a, "--state", "2p"),
                  ("wavefunction", *huge_a, "--state", "2p")):

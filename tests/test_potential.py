@@ -12,11 +12,13 @@ from mrspec import (
     DomainError,
     NumericalInstabilityError,
     PotentialParams,
+    QuantumState,
     atomic_units,
     centrifugal_term,
-    energy_scale,
+    energy,
     force_constant,
     minimum,
+    molecular_units,
     mr_value,
     mr_value_cd,
 )
@@ -59,20 +61,29 @@ def test_value_rejects_nonpositive_r():
 def test_non_finite_values_raise():
     # finite parameters whose values leave the float range raise instead of
     # returning inf or nan; a numpy warning would fail the suite here
-    r = np.array([0.05, 1.0, 60.0])
-    huge_b = 1e300  # (1 - e^{-r/b})^2 underflows to 0
-    for p in (PotentialParams(A=1e308, alpha=0.75, b=40.0),
-              PotentialParams(A=2.0 * huge_b, alpha=0.75, b=huge_b)):
-        for rr in (r, 0.05):
+    r = np.array([1e-10, 1.0, 60.0])
+    for p in (PotentialParams(A=1e308, alpha=0.75, b=40.0),  # -A/(b r) overflows
+              PotentialParams(A=80.0, alpha=1e150, b=40.0)):  # alpha^2/r^2 overflows
+        for rr in (r, 1e-10):
             with pytest.raises(NumericalInstabilityError):
                 mr_value(p, U, rr)
             with pytest.raises(NumericalInstabilityError):
                 mr_value_cd(CDForm.from_params(p), p.b, U, rr)
-    for scheme in (GREENE_ALDRICH, SHIFTED):
+    for scheme in (EXACT, GREENE_ALDRICH, SHIFTED):
         with pytest.raises(NumericalInstabilityError):
-            centrifugal_term(scheme, huge_b, r)
+            centrifugal_term(scheme, 10.0, 1e-200)  # 1/r^2 overflows
     with pytest.raises(NumericalInstabilityError):
-        centrifugal_term(EXACT, 10.0, 1e-200)  # r^2 underflows
+        centrifugal_term(SHIFTED, 1e-300, r)  # c0/b^2 overflows
+
+
+def test_huge_screening_length_stays_finite():
+    # V and the centrifugal terms tend to their Coulomb-like limits as 1/b -> 0
+    r = np.array([0.05, 1.0, 60.0])
+    b = 1e300
+    v = mr_value(PotentialParams(A=2.0 * b, alpha=0.75, b=b), U, r)
+    np.testing.assert_allclose(v, U.kinetic * (-0.1875 / r**2 - 2.0 / r), rtol=1e-12)
+    for scheme in (GREENE_ALDRICH, SHIFTED):
+        np.testing.assert_allclose(centrifugal_term(scheme, b, r), 1.0 / r**2, rtol=1e-12)
 
 
 def test_params_validation():
@@ -84,6 +95,12 @@ def test_params_validation():
         PotentialParams(A=5.0, alpha=0.75, b=math.inf)
     with pytest.raises(DomainError):
         PotentialParams(A=5.0, alpha=1e200, b=40.0)  # alpha(alpha-1) overflows
+    # the evaluators that take a bare b check it themselves
+    for b in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            mr_value_cd(CDForm(C=80.0, D=-80.0), b, U, 1.0)
+        with pytest.raises(DomainError):
+            centrifugal_term(GREENE_ALDRICH, b, 1.0)
 
 
 def test_cd_form_mapping():
@@ -117,9 +134,9 @@ def test_minimum_location_and_depth():
     r0, v0 = minimum(p, U)
     aa = 1.5 * 0.5
     assert r0 == pytest.approx(40.0 * math.log(1.0 + 2.0 * aa / 80.0), rel=1e-14)
-    assert v0 == pytest.approx(-energy_scale(U, 40.0) * 80.0**2 / (4.0 * aa), rel=1e-14)
+    assert v0 == pytest.approx(-U.kinetic * (80.0 / 40.0) ** 2 / (4.0 * aa), rel=1e-14)
     # the formula point really is the minimum of the evaluated curve
-    assert mr_value(p, U, r0) == pytest.approx(v0, abs=1e-18)
+    assert mr_value(p, U, r0) == pytest.approx(v0, rel=1e-15)
     for dr in (1e-4, 0.1, 0.5):
         assert mr_value(p, U, r0 - dr) > v0
         assert mr_value(p, U, r0 + dr) > v0
@@ -142,6 +159,29 @@ def test_force_constant_against_finite_differences():
     vals = [mr_value(p, U, r0 + i * h) for i in (-2, -1, 0, 1, 2)]
     fd = (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3] - vals[4]) / (12 * h * h)
     assert k == pytest.approx(fd, rel=1e-8)
+
+
+def test_force_constant_is_finite_at_huge_b_and_alpha():
+    # (A + 2 aa)^2 / (b^4 aa^3) in one power each overflowed a float
+    k = force_constant(PotentialParams(A=2e100, alpha=1.5, b=1e100), U)
+    assert k == pytest.approx(U.kinetic * 4.0 * (2.0 / 0.75) ** 2 / 6.0, rel=1e-14)
+    alpha = 1e60
+    aa = alpha * (alpha - 1.0)
+    k = force_constant(PotentialParams(A=80.0, alpha=alpha, b=40.0), U)
+    assert k == pytest.approx(U.kinetic * 4.0 * 0.05**2 / (8.0 * aa), rel=1e-14)
+
+
+def test_energies_scale_with_the_unit_systems_kinetic_ratio():
+    # every energy is hbar^2/(2 mu) times a number fixed by the potential
+    hcl, co = molecular_units("HCl"), molecular_units("CO")
+    ratio = hcl.kinetic / co.kinetic
+    for p in (PotentialParams(A=80.0, alpha=1.5, b=40.0),
+              PotentialParams(A=2e100, alpha=1.5, b=1e100)):
+        pairs = [(energy(p, u, QuantumState(n=1, l=2)), force_constant(p, u),
+                  *mr_value(p, u, np.array([0.5, 40.0, 300.0])), minimum(p, u)[1])
+                 for u in (hcl, co)]
+        for a, b in zip(*pairs):
+            assert a == pytest.approx(ratio * b, rel=1e-15)
 
 
 def test_force_constant_needs_a_minimum():

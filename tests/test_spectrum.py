@@ -12,7 +12,6 @@ from mrspec import (
     coulomb_energy,
     critical_coupling,
     energy,
-    energy_scale,
     enumerate_bound_states,
     epsilon_of,
     hulthen_energy,
@@ -135,7 +134,7 @@ def test_solve_state_consistency():
     p = PotentialParams(A=80.0, alpha=1.5, b=40.0)
     s = QuantumState.from_label("4f")
     sol = solve_state(p, U, s)
-    assert sol.energy == pytest.approx(-energy_scale(U, 40.0) * sol.epsilon**2, rel=1e-15)
+    assert sol.energy == pytest.approx(-U.kinetic * (sol.epsilon / 40.0) ** 2, rel=1e-15)
     assert sol.Lambda == pytest.approx((sol.a - 1.0) / 2.0, rel=1e-15)
     assert sol.energy == energy(p, U, s)
 
@@ -151,7 +150,7 @@ def test_energy_is_finite_or_raises(eps):
     _, lam = nu_parameters(PotentialParams(A=1.0, alpha=0.75, b=b), s)
     p = PotentialParams(A=critical_coupling(s, 0.75) + 2.0 * eps * (s.n + 1 + lam),
                         alpha=0.75, b=b)
-    expected = -energy_scale(U, b) * eps * eps
+    expected = -U.kinetic / (b * b) * eps * eps
     if math.isfinite(expected):
         assert energy(p, U, s) == pytest.approx(expected, rel=1e-9)
         assert solve_state(p, U, s).energy == energy(p, U, s)

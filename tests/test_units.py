@@ -6,12 +6,10 @@ from mrspec import (
     ConfigurationError,
     DomainError,
     Molecule,
-    NumericalInstabilityError,
     UnitSystem,
     UnknownMoleculeError,
     atomic_units,
     electron_units,
-    energy_scale,
     ev_pm_units,
     get_molecule,
     molecular_units,
@@ -28,36 +26,25 @@ def test_atomic_units_are_unity():
     assert u.e2 == 1.0
 
 
-def test_energy_scale_atomic_b40():
-    # hbar^2/(2 mu b^2) = 1/3200 hartree at b = 40 bohr
+def test_kinetic_atomic_units():
+    # hbar^2/(2 mu) = 1/2, so hbar^2/(2 mu b^2) = 1/3200 hartree at b = 40 bohr
     u = atomic_units()
-    assert energy_scale(u, 40.0) == pytest.approx(1.0 / 3200.0, rel=1e-15)
+    assert u.kinetic == 0.5
+    assert u.kinetic / (40.0 * 40.0) == pytest.approx(1.0 / 3200.0, rel=1e-15)
 
 
-def test_energy_scale_rejects_nonpositive_b():
-    u = atomic_units()
-    with pytest.raises(DomainError):
-        energy_scale(u, 0.0)
-    with pytest.raises(DomainError):
-        energy_scale(u, -1.0)
-
-
-def test_energy_scale_rejects_non_finite_scale():
-    # 2 mu b^2 underflows to 0 (atomic units), or hbar^2 over it overflows (CO)
-    with pytest.raises(DomainError):
-        energy_scale(atomic_units(), 1e-200)
-    with pytest.raises(DomainError):
-        energy_scale(molecular_units("CO"), 1e-160)
-    # 2 mu b^2 overflows, so the scale underflows to 0
-    with pytest.raises(NumericalInstabilityError):
-        energy_scale(atomic_units(), 1e200)
-    assert math.isfinite(energy_scale(atomic_units(), 1e-150))
+def test_unit_system_rejects_non_finite_kinetic():
+    # hbar^2 overflows, or underflows to 0, or 2 mu overflows
+    for hbar, mu in ((1e200, 1.0), (1e-200, 1.0), (1.0, 1e308)):
+        with pytest.raises(DomainError):
+            UnitSystem(hbar=hbar, mu=mu)
+    assert math.isfinite(UnitSystem(hbar=1e150, mu=1.0).kinetic)
 
 
 def test_molecular_energy_scales_frozen():
     # independently derived from hbar*c = 197329.0 eV pm and 931.494e6 eV/amu
-    scale_hcl = energy_scale(molecular_units("HCl"), 40.0)
-    scale_co = energy_scale(molecular_units("CO"), 40.0)
+    scale_hcl = molecular_units("HCl").kinetic / (40.0 * 40.0)
+    scale_co = molecular_units("CO").kinetic / (40.0 * 40.0)
     assert scale_hcl == pytest.approx(0.013328442621602736, rel=1e-14)
     assert scale_co == pytest.approx(0.0019040797726276105, rel=1e-14)
     # same numbers straight from the defining constants
@@ -179,8 +166,7 @@ def test_registry_env_ignored_when_path_given(tmp_path, monkeypatch):
     assert "B" in masses and "A" not in masses
 
 
-def test_energy_scale_dimensional_consistency():
-    # doubling b divides the scale by four in every unit system
-    for u in (atomic_units(), molecular_units("LiH")):
-        assert energy_scale(u, 80.0) == pytest.approx(energy_scale(u, 40.0) / 4.0, rel=1e-15)
-        assert math.isfinite(energy_scale(u, 1e-3))
+def test_kinetic_ratio_is_inverse_mass_ratio():
+    # the eV/pm systems share hbar, so hbar^2/(2 mu) scales as 1/mu
+    ratio = molecular_units("HCl").kinetic / molecular_units("CO").kinetic
+    assert ratio == pytest.approx(6.8606719 / 0.9801045, rel=1e-15)

@@ -222,7 +222,7 @@ def test_normalization_domain():
 
 def test_normalization_positive_across_sweep():
     # the instability guard must never trip for physical bound states
-    for alpha in (0.0, 0.75, 1.5):
+    for alpha in (0.0, 0.5, 0.75, 1.5):
         p = PotentialParams(A=80.0, alpha=alpha, b=40.0)
         for lab in ("1s", "2p", "3p", "3d", "4p", "4f", "5g"):
             s = QuantumState.from_label(lab)
@@ -231,9 +231,11 @@ def test_normalization_positive_across_sweep():
 
 
 def test_wavefunction_unit_norm_quadrature():
-    wf = build_radial_wavefunction(P075, QuantumState.from_label("3p"))
-    val, err = si.quad(lambda r: radial_value(wf, r) ** 2, 0.0, 3000.0, limit=500)
-    assert val == pytest.approx(1.0, abs=1e-9)
+    # alpha = 1/2 at l = 0 is the boundary Lambda = -1/2
+    for p, label in ((P075, "3p"), (PotentialParams(A=80.0, alpha=0.5, b=40.0), "1s")):
+        wf = build_radial_wavefunction(p, QuantumState.from_label(label))
+        val, err = si.quad(lambda r: radial_value(wf, r) ** 2, 0.0, 3000.0, limit=500)
+        assert val == pytest.approx(1.0, abs=1e-9), label
 
 
 def test_wavefunction_boundary_values():
