@@ -1,7 +1,11 @@
 """Independent finite-difference eigensolver for the radial problem.
 
-Its eigenvalues never use the closed-form spectrum; only the box size in
-`default_problem` is taken from the closed-form epsilon. It discretizes
+Its eigenvalues never use the closed-form spectrum. The closed-form epsilon
+sets only the box in `default_problem` and the ceiling of the bisection
+window; the window's floor lies below every eigenvalue of the matrix, and
+the Sturm count inside the window must reach the number of levels wanted,
+else the plain index search runs, so the closed form changes only the time
+a solve takes, never its values. It discretizes
 -(hbar^2/2 mu) R'' + U(r) R = E R with central second differences on a
 uniform grid, Dirichlet ends, and finds the lowest eigenvalues of the
 symmetric tridiagonal matrix by LAPACK bisection/Sturm counting. Each
@@ -24,7 +28,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, NumericalInstabilityError
 from .potential import CentrifugalScheme, PotentialParams, centrifugal_term, mr_value
-from .spectrum import QuantumState, _raw_epsilon
+from .spectrum import QuantumState, _level_energy, _raw_epsilon
 from .units import UnitSystem
 
 # Sturm bisection needs an absolute tolerance: the default (eps * Gershgorin
@@ -34,9 +38,9 @@ _BISECT_TOL = 1e-13
 # Convergence flag: |E_fine - E_coarse|/3 estimates the fine-grid error and
 # bounds the extrapolated value's error from above (in practice the
 # extrapolated value is orders of magnitude better). Healthy default-grid
-# runs stay below 1e-4 relative; pathological boxes sit near 1e-1.
+# runs stay below 1e-4 relative; pathological boxes sit near 1e-1. There is no
+# absolute floor: a level too shallow for its box must not pass as converged.
 CONV_REL = 5e-4
-CONV_ABS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -151,12 +155,60 @@ def _tridiagonal(rp: RadialProblem, m: int) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 * kin + U, np.full(m - 1, -kin)
 
 
+# How far the exact 1/r^2 term lies above the Greene-Aldrich one, in units of
+# l(l+1)/b^2: 1/x^2 - 1/(4 sinh^2(x/2)) <= 1/12 for x = r/b.
+_EXACT_OVER_GA = 1.0 / 12.0
+
+
+def _bisection_window(rp: RadialProblem, diag: np.ndarray, kin: float, k: int):
+    """Value window (lo, hi) for the k lowest eigenvalues, or None without one.
+
+    lo is the matrix's Gershgorin floor min(diag) - 2 kin, lowered by a few ulps
+    for its rounding: no eigenvalue lies below it. hi lies between the closed
+    form's levels k-1 and k of the solved scheme, so it only sets how much
+    bisection is done; whether the window holds k values is checked by the
+    caller. Nothing here raises: a window that cannot be formed is None.
+    """
+    floor = float(diag.min())
+    lo = floor - 2.0 * kin - 4.0 * math.ulp(max(abs(floor), 2.0 * kin))
+    b, l = rp.params.b, rp.l
+
+    def closed_form_level(n: int) -> float:
+        eps = _raw_epsilon(rp.params, QuantumState(n=n, l=l))
+        return _level_energy(rp.units, b, eps) if eps > 0.0 else 0.0
+
+    try:
+        top, above = closed_form_level(k - 1), closed_form_level(k)
+    except NumericalInstabilityError:
+        return None  # the closed-form levels leave the float range
+    if not top < 0.0:
+        return None  # level k-1 is unbound in the closed form
+    hi = 0.5 * (top + above)
+    q = {"exact": _EXACT_OVER_GA, "shifted": rp.scheme.shift_c0}.get(rp.scheme.kind, 0.0)
+    if l > 0 and q != 0.0:
+        hi += rp.units.kinetic * l * (l + 1) * q / b / b
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return None
+    hi = min(0.0, hi)
+    return (lo, hi) if lo < hi else None
+
+
 def _lowest_eigenvalues(rp: RadialProblem, m: int, k: int) -> np.ndarray:
     # scipy.linalg costs more than the rest of the package to import, so only
     # an actual solve pays for it; the closed-form paths never load it.
     from scipy.linalg import eigvalsh_tridiagonal
 
     diag, off = _tridiagonal(rp, m)
+    window = _bisection_window(rp, diag, -float(off[0]), k)
+    if window is not None:
+        # a value window spares stebz the search for the k-th index over the
+        # whole Gershgorin interval; as nothing lies below the window, its
+        # first k eigenvalues are the k lowest
+        found = eigvalsh_tridiagonal(
+            diag, off, select="v", select_range=window, tol=_BISECT_TOL, lapack_driver="stebz"
+        )
+        if len(found) >= k:
+            return found[:k]
     return eigvalsh_tridiagonal(
         diag, off, select="i", select_range=(0, k - 1), tol=_BISECT_TOL, lapack_driver="stebz"
     )
@@ -178,7 +230,7 @@ def solve(rp: RadialProblem, k: int) -> NumericalSpectrum:
         if ev >= 0.0:
             continue
         eigenvalues.append(float(ev))
-        converged.append(bool(err <= max(CONV_REL * abs(ev), CONV_ABS)))
+        converged.append(bool(err <= CONV_REL * abs(ev)))
     return NumericalSpectrum(
         eigenvalues=tuple(eigenvalues),
         converged=tuple(converged),

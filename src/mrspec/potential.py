@@ -145,7 +145,10 @@ def minimum(p: PotentialParams, u: UnitSystem):
         return None
     r0 = p.b * math.log1p(2.0 * aa / p.A)
     x = p.A / p.b
-    return r0, -u.kinetic * x * x / (4.0 * aa)
+    v0 = -u.kinetic * x * x / (4.0 * aa)
+    if not math.isfinite(v0):
+        raise NumericalInstabilityError("the well depth is not finite for these parameters")
+    return r0, v0
 
 
 def force_constant(p: PotentialParams, u: UnitSystem) -> float:
@@ -156,7 +159,10 @@ def force_constant(p: PotentialParams, u: UnitSystem) -> float:
     # kinetic (A/b)^2 ((A/aa + 2)/b)^2 / (8 aa): no power of b or aa is formed
     x = p.A / p.b
     y = (p.A / aa + 2.0) / p.b
-    return u.kinetic * x * x * y * y / (8.0 * aa)
+    k = u.kinetic * x * x * y * y / (8.0 * aa)
+    if not math.isfinite(k):
+        raise NumericalInstabilityError("the force constant is not finite for these parameters")
+    return k
 
 
 def centrifugal_term(s: CentrifugalScheme, b: float, r):

@@ -241,6 +241,17 @@ def test_compare_greene_aldrich_passes_tolerance():
         assert row[9] == "yes"
 
 
+def test_compare_flags_a_near_zero_level_unconverged():
+    # at 1/b = 1e-20 the default box misses the well and 2p comes out near
+    # -7e-20 hartree with an error estimate of 0.2 of its value: no absolute
+    # floor may let that pass as converged
+    cp = run_cli("compare", "--alpha", "0.75", "--inv-b", "1e-20", "--states", "2p",
+                 "--scheme", "greene_aldrich")
+    assert cp.returncode == 0, cp.stderr
+    header, rows = parse_csv(cp.stdout)
+    assert rows[0][header.index("converged")] == "no"
+
+
 def test_figure2_columns_and_bound():
     # high precision so the shifted-minus-ga difference survives the rounding
     cp = run_cli("figure-data", "fig2", "--points", "50", "--precision", "12")

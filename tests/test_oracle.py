@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mrspec import (
     EXACT,
     GREENE_ALDRICH,
+    CentrifugalScheme,
     DomainError,
     Level,
     NumericalSpectrum,
@@ -19,6 +23,7 @@ from mrspec import (
     mr_value,
     solve,
 )
+from mrspec.oracle import _BISECT_TOL, _lowest_eigenvalues, _tridiagonal
 
 U = atomic_units()
 P075 = PotentialParams(A=80.0, alpha=0.75, b=40.0)
@@ -175,3 +180,72 @@ def test_levels_of_no_states_is_empty():
 def test_numerical_spectrum_shortfall_property():
     ns = NumericalSpectrum(eigenvalues=(-0.1,), converged=(True,), requested=3)
     assert ns.shortfall == 2
+
+
+def _index_search(rp, m, k):
+    diag, off = _tridiagonal(rp, m)
+    return scipy.linalg.eigvalsh_tridiagonal(
+        diag, off, select="i", select_range=(0, k - 1), tol=_BISECT_TOL, lapack_driver="stebz"
+    )
+
+
+def _record_selects(monkeypatch):
+    selects = []
+    real = scipy.linalg.eigvalsh_tridiagonal
+
+    def recording(*args, **kwargs):
+        selects.append(kwargs["select"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", recording)
+    return selects
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [GREENE_ALDRICH, EXACT, CentrifugalScheme("shifted", 1.0 / 12.0),
+     CentrifugalScheme("shifted", -0.5)],
+    ids=lambda sc: f"{sc.kind}{sc.shift_c0:+.3g}",
+)
+def test_value_window_gives_the_index_search_levels(scheme):
+    # the closed-form ceiling may only change how long bisection takes, never
+    # which levels come out; the sweep includes unbound requested levels
+    for alpha, inv_b, l, n_max in itertools.product((0.0, 0.75, 1.5), (0.025, 0.075),
+                                                    (1, 2, 3, 4), range(4)):
+        b = 1.0 / inv_b
+        p = PotentialParams(A=2.0 * b, alpha=alpha, b=b)
+        rp = default_problem(p, U, l, scheme, grid_points=1000, n_max=n_max)
+        for m in (rp.grid_points, 2 * rp.grid_points + 1):
+            np.testing.assert_allclose(_lowest_eigenvalues(rp, m, n_max + 1),
+                                       _index_search(rp, m, n_max + 1),
+                                       rtol=0, atol=2 * _BISECT_TOL)
+
+
+def test_fallback_cases_give_the_index_search_levels(monkeypatch):
+    selects = _record_selects(monkeypatch)
+    # 5 requested, 2 bound: the closed form has no ceiling for level 4
+    shortfall = default_problem(PotentialParams(A=20.0, alpha=0.75, b=10.0), U, 2,
+                                GREENE_ALDRICH)
+    # a hand-built box too small for 2s pushes it above the window
+    b = 1.0e7
+    hydrogen = RadialProblem(params=PotentialParams(A=2.0 * b, alpha=0.0, b=b), units=U,
+                             l=0, scheme=EXACT, r_min=1e-8, r_max=8.0, grid_points=4000)
+    # the closed-form levels leave the float range, so there is no ceiling either
+    huge_a = default_problem(PotentialParams(A=1e300, alpha=0.75, b=40.0), U, 1,
+                             GREENE_ALDRICH, grid_points=4000, n_max=1)
+    for rp, k, path in ((shortfall, 5, ["i"]), (hydrogen, 2, ["v", "i"]), (huge_a, 2, ["i"])):
+        for m in (rp.grid_points, 2 * rp.grid_points + 1):
+            selects.clear()
+            got = _lowest_eigenvalues(rp, m, k)
+            assert selects == path
+            np.testing.assert_allclose(got, _index_search(rp, m, k), rtol=0, atol=2 * _BISECT_TOL)
+
+
+def test_bound_levels_are_found_in_a_value_window(monkeypatch):
+    selects = _record_selects(monkeypatch)
+    solve(default_problem(P075, U, 1, GREENE_ALDRICH, n_max=3), 4)
+    assert selects == ["v", "v"]
+    selects.clear()
+    # 5 requested, 2 bound: only the index search can return all five
+    solve(default_problem(PotentialParams(A=20.0, alpha=0.75, b=10.0), U, 2, GREENE_ALDRICH), 5)
+    assert selects == ["i", "i"]

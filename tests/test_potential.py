@@ -171,6 +171,18 @@ def test_force_constant_is_finite_at_huge_b_and_alpha():
     assert k == pytest.approx(U.kinetic * 4.0 * 0.05**2 / (8.0 * aa), rel=1e-14)
 
 
+def test_non_finite_minimum_and_force_constant_raise():
+    # (A/b)^2 overflows in the well depth; in the force constant alone at A=1e90
+    with pytest.raises(NumericalInstabilityError):
+        minimum(PotentialParams(A=1e308, alpha=1.5, b=1e-10), U)
+    with pytest.raises(NumericalInstabilityError):
+        force_constant(PotentialParams(A=1e300, alpha=1.5, b=1e-10), U)
+    p = PotentialParams(A=1e90, alpha=1.5, b=1e-10)
+    assert math.isfinite(minimum(p, U)[1])
+    with pytest.raises(NumericalInstabilityError):
+        force_constant(p, U)
+
+
 def test_energies_scale_with_the_unit_systems_kinetic_ratio():
     # every energy is hbar^2/(2 mu) times a number fixed by the potential
     hcl, co = molecular_units("HCl"), molecular_units("CO")
