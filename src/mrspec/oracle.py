@@ -10,8 +10,9 @@ a solve takes, never its values. It discretizes
 uniform grid, Dirichlet ends, and finds the lowest eigenvalues of the
 symmetric tridiagonal matrix by LAPACK bisection/Sturm counting. Each
 reported eigenvalue is Richardson-extrapolated from an M-point and a
-(2M+1)-point grid (exact step halving), which removes the leading h^2
-error term.
+(2M+1)-point grid, which removes the leading h^2 error term. The step
+halving is exact, so the M-point grid is every second node of the fine one
+and U is built once per solve, on the 2M+1 fine nodes.
 
 With the greene_aldrich centrifugal scheme the discretized problem is the
 same one the closed form solves exactly, so analytic-vs-numeric agreement
@@ -104,19 +105,10 @@ def default_problem(
     )
 
 
-def _interior_nodes(rp: RadialProblem, m: int) -> tuple[np.ndarray, float]:
+def build_effective_potential(rp: RadialProblem, r: np.ndarray) -> np.ndarray:
+    """U(r) = V(r) + (hbar^2/2 mu) l(l+1) * centrifugal(r) at the radii r."""
     import numpy as np
 
-    h = (rp.r_max - rp.r_min) / (m + 1)
-    return rp.r_min + h * np.arange(1, m + 1), h
-
-
-def build_effective_potential(rp: RadialProblem, r: np.ndarray | None = None) -> np.ndarray:
-    """U(r) = V(r) + (hbar^2/2 mu) l(l+1) * centrifugal(r) on the grid nodes."""
-    import numpy as np
-
-    if r is None:
-        r, _ = _interior_nodes(rp, rp.grid_points)
     u = rp.units
     U = np.asarray(mr_value(rp.params, u, r), dtype=float)
     if rp.l > 0:
@@ -143,34 +135,37 @@ class NumericalSpectrum:
         return self.requested - len(self.eigenvalues)
 
 
-def _tridiagonal(rp: RadialProblem, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the m-point finite-difference Hamiltonian."""
+def _grid(rp: RadialProblem, m: int, refine: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Diagonal and off-diagonal of the m-point finite-difference Hamiltonian
+    and, with refine, of the (2m+1)-point one on half its step, coarse first.
+
+    Halving the step is exact, so each m-point node is the same float as every
+    second fine node: U is evaluated once, on the finest nodes.
+    """
     import numpy as np
 
-    r, h = _interior_nodes(rp, m)
-    U = build_effective_potential(rp, r)
-    kin = rp.units.kinetic / (h * h) if h * h > 0 else math.inf
-    if not (0 < kin < math.inf):
-        raise NumericalInstabilityError(f"kinetic coupling hbar^2/(2 mu h^2) is {kin} at h={h:.6g}")
-    return 2.0 * kin + U, np.full(m - 1, -kin)
+    strides = (2, 1) if refine else (1,)
+    h = (rp.r_max - rp.r_min) / (m + 1) / strides[0]
+    U = build_effective_potential(rp, rp.r_min + h * np.arange(1, strides[0] * (m + 1)))
+    matrices = []
+    for stride in strides:
+        step = stride * h
+        kin = rp.units.kinetic / (step * step) if step * step > 0 else math.inf
+        if not (0 < kin < math.inf):
+            raise NumericalInstabilityError(f"kinetic coupling hbar^2/(2 mu h^2) is {kin} "
+                                            f"at h={step:.6g}")
+        u = U[stride - 1 :: stride]
+        matrices.append((2.0 * kin + u, np.full(len(u) - 1, -kin)))
+    return matrices
 
 
-# How far the exact 1/r^2 term lies above the Greene-Aldrich one, in units of
-# l(l+1)/b^2: 1/x^2 - 1/(4 sinh^2(x/2)) <= 1/12 for x = r/b.
-_EXACT_OVER_GA = 1.0 / 12.0
+def _ceiling(rp: RadialProblem, k: int) -> float | None:
+    """Top of the bisection window for the k lowest eigenvalues, or None.
 
-
-def _bisection_window(rp: RadialProblem, diag: np.ndarray, kin: float, k: int):
-    """Value window (lo, hi) for the k lowest eigenvalues, or None without one.
-
-    lo is the matrix's Gershgorin floor min(diag) - 2 kin, lowered by a few ulps
-    for its rounding: no eigenvalue lies below it. hi lies between the closed
-    form's levels k-1 and k of the solved scheme, so it only sets how much
-    bisection is done; whether the window holds k values is checked by the
-    caller. Nothing here raises: a window that cannot be formed is None.
+    It lies between the closed form's levels k-1 and k of the solved scheme,
+    so it only sets how much bisection is done; whether a window holds k
+    values is checked where it is used. Nothing here raises.
     """
-    floor = float(diag.min())
-    lo = floor - 2.0 * kin - 4.0 * math.ulp(max(abs(floor), 2.0 * kin))
     b, l = rp.params.b, rp.l
 
     def closed_form_level(n: int) -> float:
@@ -184,29 +179,28 @@ def _bisection_window(rp: RadialProblem, diag: np.ndarray, kin: float, k: int):
     if not top < 0.0:
         return None  # level k-1 is unbound in the closed form
     hi = 0.5 * (top + above)
-    q = {"exact": _EXACT_OVER_GA, "shifted": rp.scheme.shift_c0}.get(rp.scheme.kind, 0.0)
+    # how far the exact 1/r^2 term lies above the Greene-Aldrich one, in units
+    # of l(l+1)/b^2: 1/x^2 - 1/(4 sinh^2(x/2)) <= 1/12 for x = r/b
+    q = {"exact": 1.0 / 12.0, "shifted": rp.scheme.shift_c0}.get(rp.scheme.kind, 0.0)
     if l > 0 and q != 0.0:
         hi += rp.units.kinetic * l * (l + 1) * q / b / b
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return None
-    hi = min(0.0, hi)
-    return (lo, hi) if lo < hi else None
+    return min(0.0, hi) if math.isfinite(hi) else None
 
 
-def _lowest_eigenvalues(rp: RadialProblem, m: int, k: int) -> np.ndarray:
+def _lowest_eigenvalues(diag: np.ndarray, off: np.ndarray, k: int, ceiling: float | None):
     # scipy.linalg costs more than the rest of the package to import, so only
     # an actual solve pays for it; the closed-form paths never load it.
     from scipy.linalg import eigvalsh_tridiagonal
 
-    diag, off = _tridiagonal(rp, m)
-    window = _bisection_window(rp, diag, -float(off[0]), k)
-    if window is not None:
+    # the Gershgorin floor, a few ulps low for its rounding: no eigenvalue lies below it
+    kin, floor = -float(off[0]), float(diag.min())
+    lo = floor - 2.0 * kin - 4.0 * math.ulp(max(abs(floor), 2.0 * kin))
+    if ceiling is not None and math.isfinite(lo) and lo < ceiling:
         # a value window spares stebz the search for the k-th index over the
         # whole Gershgorin interval; as nothing lies below the window, its
         # first k eigenvalues are the k lowest
-        found = eigvalsh_tridiagonal(
-            diag, off, select="v", select_range=window, tol=_BISECT_TOL, lapack_driver="stebz"
-        )
+        found = eigvalsh_tridiagonal(diag, off, select="v", select_range=(lo, ceiling),
+                                     tol=_BISECT_TOL, lapack_driver="stebz")
         if len(found) >= k:
             return found[:k]
     return eigvalsh_tridiagonal(
@@ -220,8 +214,9 @@ def solve(rp: RadialProblem, k: int) -> NumericalSpectrum:
         raise DomainError(f"k must be >= 1, got {k}")
     if k > rp.grid_points:
         raise DomainError(f"cannot extract {k} levels from {rp.grid_points} grid points")
-    coarse = _lowest_eigenvalues(rp, rp.grid_points, k)
-    fine = _lowest_eigenvalues(rp, 2 * rp.grid_points + 1, k)
+    ceiling = _ceiling(rp, k)
+    coarse, fine = (_lowest_eigenvalues(diag, off, k, ceiling)
+                    for diag, off in _grid(rp, rp.grid_points, refine=True))
     extrapolated = (4.0 * fine - coarse) / 3.0
     err_est = abs(fine - coarse) / 3.0
     eigenvalues = []
@@ -245,7 +240,7 @@ def eigenfunction_nodes(rp: RadialProblem, k: int) -> list[int]:
     import numpy as np
     from scipy.linalg import eigh_tridiagonal
 
-    diag, off = _tridiagonal(rp, rp.grid_points)
+    [(diag, off)] = _grid(rp, rp.grid_points, refine=False)
     # stebz bisection for values + stein inverse iteration for vectors
     _, vecs = eigh_tridiagonal(
         diag, off, select="i", select_range=(0, k - 1), tol=_BISECT_TOL, lapack_driver="stebz"

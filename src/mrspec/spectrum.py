@@ -56,13 +56,16 @@ class QuantumState:
     def from_label(cls, text: str) -> "QuantumState":
         """Parse labels like '2p' or '4f' (N letter, n = N - l - 1)."""
         text = text.strip()
-        if len(text) < 2 or text[-1] not in SPECTROSCOPIC_LETTERS:
-            raise DomainError(f"malformed spectroscopic label {text!r}")
+        digits, letter = text[:-1], text[-1:]
         try:
-            principal = int(text[:-1])
+            # ASCII digits only: int() would also take signs, underscores and
+            # spaces; it raises ValueError itself beyond its digit limit
+            if not (digits.isascii() and digits.isdigit() and letter in SPECTROSCOPIC_LETTERS):
+                raise ValueError(text)
+            principal = int(digits)
         except ValueError:
             raise DomainError(f"malformed spectroscopic label {text!r}") from None
-        l = SPECTROSCOPIC_LETTERS.index(text[-1])
+        l = SPECTROSCOPIC_LETTERS.index(letter)
         n = principal - l - 1
         if n < 0:
             raise DomainError(f"label {text!r} implies negative radial quantum number")
@@ -132,9 +135,11 @@ def solve_state(p: PotentialParams, u: UnitSystem, s: QuantumState) -> NUSolutio
 
 def critical_coupling(s: QuantumState, alpha: float) -> float:
     """Strength A_c at which the level reaches zero binding energy."""
+    # the paper's form: (n+1+Lambda)^2 - Lambda(Lambda+1) cancels at large
+    # alpha. In floats, as a huge n's integer (n+1)^2 cannot become a float.
     lam = _lambda_of(alpha, s.l)
-    k = s.n + 1 + lam
-    return k * k - lam * (lam + 1.0) + s.l * (s.l + 1)
+    m = s.n + 1.0
+    return m * m + (2.0 * m - 1.0) * lam + s.l * (s.l + 1)
 
 
 def is_bound(p: PotentialParams, s: QuantumState) -> bool:

@@ -127,6 +127,16 @@ def test_spectrum_repeatable_state_flag():
     assert [row[0] for row in rows] == ["2p", "3p", "3d"]
 
 
+def test_spectrum_keeps_the_binding_threshold_at_large_alpha():
+    # A_c(2p) = alpha + 2, so epsilon = (A - A_c)/(2(1 + Lambda)) = 1 and
+    # E = -epsilon^2/(2 b^2) = -0.0003125 hartree at 1/b = 0.025
+    cp = run_cli("spectrum", "--alpha", "1e16", "--inv-b", "0.025", "--A", "3e16",
+                 "--state", "2p")
+    assert cp.returncode == 0, cp.stderr
+    _, rows = parse_csv(cp.stdout)
+    assert rows == [["2p", "0", "1", "-0.0003125"]]
+
+
 def test_spectrum_unbound_state_is_a_row_not_an_error():
     for label in ("5g", HUGE_PRINCIPAL + "p"):
         cp = run_cli("spectrum", "--alpha", "0.75", "--inv-b", "0.1", "--state", label)
@@ -396,15 +406,20 @@ def test_overflowing_potentials_are_compute_errors():
     tiny_b = ("--alpha", "0.75", "--b", "1e-200", "--A", "5")  # epsilon/b squared overflows
     huge_a = ("--alpha", "0.75", "--inv-b", "0.025", "--A", "1e300")  # epsilon^2 overflows
     huge_b = ("--alpha", "0.75", "--inv-b", "1e-200")  # the oracle's hbar^2/(2 mu h^2) is 0
+    huge_b_compare = ("compare", *huge_b, "--states", "2p")
     for args in (("spectrum", *tiny_b, "--state", "2p"),
                  ("compare", *tiny_b, "--states", "2p"),
-                 ("compare", *huge_b, "--states", "2p"),
+                 huge_b_compare,
                  ("spectrum", *huge_a, "--state", "2p"),
                  ("wavefunction", *huge_a, "--state", "2p")):
         cp = run_cli(*args)
         assert cp.returncode == 2, (args, cp.stderr)
         assert cp.stdout == "", args
         assert cp.stderr.startswith("mrspec: error:"), (args, cp.stderr)
+        if args == huge_b_compare:
+            # the coarse grid's coupling is checked first, so its step is named
+            assert cp.stderr == ("mrspec: error: kinetic coupling hbar^2/(2 mu h^2) is 0.0 "
+                                 "at h=1.9999e+197\n")
 
 
 def test_figure1_inverse_b_list_is_range_checked():

@@ -23,7 +23,8 @@ from mrspec import (
     mr_value,
     solve,
 )
-from mrspec.oracle import _BISECT_TOL, _lowest_eigenvalues, _tridiagonal
+from mrspec import oracle
+from mrspec.oracle import CONV_REL, _BISECT_TOL, _ceiling, _grid, _lowest_eigenvalues
 
 U = atomic_units()
 P075 = PotentialParams(A=80.0, alpha=0.75, b=40.0)
@@ -182,11 +183,18 @@ def test_numerical_spectrum_shortfall_property():
     assert ns.shortfall == 2
 
 
-def _index_search(rp, m, k):
-    diag, off = _tridiagonal(rp, m)
+def _index_search(diag, off, k):
     return scipy.linalg.eigvalsh_tridiagonal(
         diag, off, select="i", select_range=(0, k - 1), tol=_BISECT_TOL, lapack_driver="stebz"
     )
+
+
+def _richardson(coarse, fine, k):
+    extrapolated, err_est = (4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0
+    bound = [(float(ev), bool(err <= CONV_REL * abs(ev)))
+             for ev, err in zip(extrapolated, err_est) if ev < 0.0]
+    return NumericalSpectrum(eigenvalues=tuple(ev for ev, _ in bound),
+                             converged=tuple(c for _, c in bound), requested=k)
 
 
 def _record_selects(monkeypatch):
@@ -215,10 +223,16 @@ def test_value_window_gives_the_index_search_levels(scheme):
         b = 1.0 / inv_b
         p = PotentialParams(A=2.0 * b, alpha=alpha, b=b)
         rp = default_problem(p, U, l, scheme, grid_points=1000, n_max=n_max)
+        k = n_max + 1
+        pair = []
         for m in (rp.grid_points, 2 * rp.grid_points + 1):
-            np.testing.assert_allclose(_lowest_eigenvalues(rp, m, n_max + 1),
-                                       _index_search(rp, m, n_max + 1),
+            [(diag, off)] = _grid(rp, m, refine=False)
+            pair.append(_lowest_eigenvalues(diag, off, k, _ceiling(rp, k)))
+            np.testing.assert_allclose(pair[-1], _index_search(diag, off, k),
                                        rtol=0, atol=2 * _BISECT_TOL)
+        # the M-point grid of a solve is every second node of its fine grid,
+        # so both match two independent builds to the bit
+        assert solve(rp, k) == _richardson(*pair, k)
 
 
 def test_fallback_cases_give_the_index_search_levels(monkeypatch):
@@ -235,10 +249,12 @@ def test_fallback_cases_give_the_index_search_levels(monkeypatch):
                              GREENE_ALDRICH, grid_points=4000, n_max=1)
     for rp, k, path in ((shortfall, 5, ["i"]), (hydrogen, 2, ["v", "i"]), (huge_a, 2, ["i"])):
         for m in (rp.grid_points, 2 * rp.grid_points + 1):
+            [(diag, off)] = _grid(rp, m, refine=False)
             selects.clear()
-            got = _lowest_eigenvalues(rp, m, k)
+            got = _lowest_eigenvalues(diag, off, k, _ceiling(rp, k))
             assert selects == path
-            np.testing.assert_allclose(got, _index_search(rp, m, k), rtol=0, atol=2 * _BISECT_TOL)
+            np.testing.assert_allclose(got, _index_search(diag, off, k), rtol=0,
+                                       atol=2 * _BISECT_TOL)
 
 
 def test_bound_levels_are_found_in_a_value_window(monkeypatch):
@@ -249,3 +265,19 @@ def test_bound_levels_are_found_in_a_value_window(monkeypatch):
     # 5 requested, 2 bound: only the index search can return all five
     solve(default_problem(PotentialParams(A=20.0, alpha=0.75, b=10.0), U, 2, GREENE_ALDRICH), 5)
     assert selects == ["i", "i"]
+
+
+def test_effective_potential_is_built_once_per_solve(monkeypatch):
+    sizes = []
+    real = oracle.build_effective_potential
+
+    def recording(rp, r):
+        sizes.append(len(r))
+        return real(rp, r)
+
+    monkeypatch.setattr(oracle, "build_effective_potential", recording)
+    rp = default_problem(P075, U, 1, GREENE_ALDRICH, n_max=1, grid_points=1000)
+    solve(rp, 2)
+    assert sizes == [2001]  # the fine nodes only
+    eigenfunction_nodes(rp, 2)
+    assert sizes == [2001, 1000]

@@ -43,7 +43,7 @@ def test_label_round_trip_high_l():
 
 
 def test_label_rejects_malformed():
-    for bad in ("", "p", "2", "2x", "x2", "2P ", "0s", "-1p", "1p"):
+    for bad in ("", "p", "2", "2x", "x2", "2P ", "0s", "-1p", "1p", "1_0p", "+2p", "2 p"):
         with pytest.raises(DomainError):
             QuantumState.from_label(bad)
 
@@ -117,6 +117,10 @@ def test_critical_coupling_closed_form():
     s = QuantumState.from_label("3p")  # n=1, l=1
     lam = (math.sqrt((1.0 - 1.5) ** 2 + 8.0) - 1.0) / 2.0
     assert critical_coupling(s, 0.75) == pytest.approx(4.0 + 3.0 * lam + 2.0, rel=1e-14)
+    # at large alpha Lambda = alpha - 1 + O(1/alpha), so A_c(2p) = alpha + 2
+    for alpha in (1e14, 1e16):
+        assert critical_coupling(QuantumState.from_label("2p"), alpha) == pytest.approx(
+            alpha + 2.0, rel=1e-14)
 
 
 def test_epsilon_raises_for_unbound():
