@@ -14,6 +14,12 @@ reported eigenvalue is Richardson-extrapolated from an M-point and a
 halving is exact, so the M-point grid is every second node of the fine one
 and U is built once per solve, on the 2M+1 fine nodes.
 
+Units are a scale factor. The matrix is hbar^2/(2 mu) times one that does
+not depend on the unit system, so every solve runs with hbar^2/(2 mu) = 1,
+in energies of 1/length^2, and `solve` multiplies the result by the
+problem's hbar^2/(2 mu). The unit-free solve is cached, so problems that
+differ only in their units (the molecules of one table row) share it.
+
 With the greene_aldrich centrifugal scheme the discretized problem is the
 same one the closed form solves exactly, so analytic-vs-numeric agreement
 cross-validates both code paths; with the exact 1/r^2 term the solver
@@ -22,9 +28,10 @@ plays the role of an independent reference spectrum.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .errors import DomainError, NumericalInstabilityError
@@ -32,9 +39,14 @@ from .potential import CentrifugalScheme, PotentialParams, centrifugal_term, mr_
 from .spectrum import QuantumState, _level_energy, _raw_epsilon
 from .units import UnitSystem
 
+# hbar^2/(2 mu) = 1: every solve runs in these units, energies in 1/length^2
+_UNIT_FREE = UnitSystem(hbar=1.0, mu=0.5)
+
 # Sturm bisection needs an absolute tolerance: the default (eps * Gershgorin
-# interval) is ruined by the huge near-origin centrifugal values.
-_BISECT_TOL = 1e-13
+# interval) is ruined by the huge near-origin centrifugal values. It is in the
+# unit-free energy, 1/length^2: 1e-13 hartree in atomic units, 2e-13 kinetic
+# in general (6e-13 eV for CO in eV-pm units).
+_BISECT_TOL = 2e-13
 
 # Convergence flag: |E_fine - E_coarse|/3 estimates the fine-grid error and
 # bounds the extrapolated value's error from above (in practice the
@@ -117,7 +129,7 @@ def build_effective_potential(rp: RadialProblem, r: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
             U = U + pref * centrifugal_term(rp.scheme, rp.params.b, r)
     if not np.all(np.isfinite(U)):
-        raise DomainError("effective potential is not finite on the grid")
+        raise NumericalInstabilityError("effective potential is not finite on the grid")
     return U
 
 
@@ -135,6 +147,23 @@ class NumericalSpectrum:
         return self.requested - len(self.eigenvalues)
 
 
+def _couplings(rp: RadialProblem, m: int, refine: bool) -> tuple[float, list[tuple[int, float]]]:
+    """Step h of the finest grid, and the stride (in steps h) and kinetic
+    coupling hbar^2/(2 mu stride^2 h^2) of the m-point grid and, with refine,
+    of the (2m+1)-point one, coarse first."""
+    strides = (2, 1) if refine else (1,)
+    h = (rp.r_max - rp.r_min) / (m + 1) / strides[0]
+    grids = []
+    for stride in strides:
+        step = stride * h
+        kin = rp.units.kinetic / (step * step) if step * step > 0 else math.inf
+        if not (0 < kin < math.inf):
+            raise NumericalInstabilityError(f"kinetic coupling hbar^2/(2 mu h^2) is {kin} "
+                                            f"at h={step:.6g}")
+        grids.append((stride, kin))
+    return h, grids
+
+
 def _grid(rp: RadialProblem, m: int, refine: bool) -> list[tuple[np.ndarray, np.ndarray]]:
     """Diagonal and off-diagonal of the m-point finite-difference Hamiltonian
     and, with refine, of the (2m+1)-point one on half its step, coarse first.
@@ -144,18 +173,16 @@ def _grid(rp: RadialProblem, m: int, refine: bool) -> list[tuple[np.ndarray, np.
     """
     import numpy as np
 
-    strides = (2, 1) if refine else (1,)
-    h = (rp.r_max - rp.r_min) / (m + 1) / strides[0]
-    U = build_effective_potential(rp, rp.r_min + h * np.arange(1, strides[0] * (m + 1)))
+    h, grids = _couplings(rp, m, refine)
+    U = build_effective_potential(rp, rp.r_min + h * np.arange(1, grids[0][0] * (m + 1)))
     matrices = []
-    for stride in strides:
-        step = stride * h
-        kin = rp.units.kinetic / (step * step) if step * step > 0 else math.inf
-        if not (0 < kin < math.inf):
-            raise NumericalInstabilityError(f"kinetic coupling hbar^2/(2 mu h^2) is {kin} "
-                                            f"at h={step:.6g}")
-        u = U[stride - 1 :: stride]
-        matrices.append((2.0 * kin + u, np.full(len(u) - 1, -kin)))
+    for stride, kin in grids:
+        with np.errstate(over="ignore"):
+            diag = 2.0 * kin + U[stride - 1 :: stride]
+        if not np.all(np.isfinite(diag)):
+            raise NumericalInstabilityError(
+                f"the finite-difference Hamiltonian is not finite at h={stride * h:.6g}")
+        matrices.append((diag, np.full(len(diag) - 1, -kin)))
     return matrices
 
 
@@ -187,6 +214,17 @@ def _ceiling(rp: RadialProblem, k: int) -> float | None:
     return min(0.0, hi) if math.isfinite(hi) else None
 
 
+def _stebz(eigensolver, diag: np.ndarray, off: np.ndarray, **select):
+    """eigensolver(diag, off, **select) by LAPACK bisection at `_BISECT_TOL`;
+    a LAPACK failure (entries near the float limit) is a compute error."""
+    from scipy.linalg import LinAlgError
+
+    try:
+        return eigensolver(diag, off, tol=_BISECT_TOL, lapack_driver="stebz", **select)
+    except LinAlgError as exc:
+        raise NumericalInstabilityError(f"the grid eigensolver failed: {exc}") from None
+
+
 def _lowest_eigenvalues(diag: np.ndarray, off: np.ndarray, k: int, ceiling: float | None):
     # scipy.linalg costs more than the rest of the package to import, so only
     # an actual solve pays for it; the closed-form paths never load it.
@@ -199,21 +237,20 @@ def _lowest_eigenvalues(diag: np.ndarray, off: np.ndarray, k: int, ceiling: floa
         # a value window spares stebz the search for the k-th index over the
         # whole Gershgorin interval; as nothing lies below the window, its
         # first k eigenvalues are the k lowest
-        found = eigvalsh_tridiagonal(diag, off, select="v", select_range=(lo, ceiling),
-                                     tol=_BISECT_TOL, lapack_driver="stebz")
+        found = _stebz(eigvalsh_tridiagonal, diag, off, select="v", select_range=(lo, ceiling))
         if len(found) >= k:
             return found[:k]
-    return eigvalsh_tridiagonal(
-        diag, off, select="i", select_range=(0, k - 1), tol=_BISECT_TOL, lapack_driver="stebz"
-    )
+    return _stebz(eigvalsh_tridiagonal, diag, off, select="i", select_range=(0, k - 1))
 
 
-def solve(rp: RadialProblem, k: int) -> NumericalSpectrum:
-    """The k lowest levels, Richardson-extrapolated, restricted to E < 0."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    if k > rp.grid_points:
-        raise DomainError(f"cannot extract {k} levels from {rp.grid_points} grid points")
+def _unit_free(rp: RadialProblem) -> RadialProblem:
+    """The same problem with hbar^2/(2 mu) = 1, the form every solve runs in."""
+    return replace(rp, units=_UNIT_FREE)
+
+
+@functools.lru_cache(maxsize=256)
+def _solve_unit_free(rp: RadialProblem, k: int) -> NumericalSpectrum:
+    """`solve` for a problem with hbar^2/(2 mu) = 1; energies in 1/length^2."""
     ceiling = _ceiling(rp, k)
     coarse, fine = (_lowest_eigenvalues(diag, off, k, ceiling)
                     for diag, off in _grid(rp, rp.grid_points, refine=True))
@@ -233,6 +270,26 @@ def solve(rp: RadialProblem, k: int) -> NumericalSpectrum:
     )
 
 
+def solve(rp: RadialProblem, k: int) -> NumericalSpectrum:
+    """The k lowest levels, Richardson-extrapolated, restricted to E < 0.
+
+    The unit-free solve is cached, so a problem that differs from an earlier
+    one only in its units costs one multiplication per level.
+    """
+    if k < 1:
+        raise DomainError(f"k must be >= 1, got {k}")
+    if k > rp.grid_points:
+        raise DomainError(f"cannot extract {k} levels from {rp.grid_points} grid points")
+    _couplings(rp, rp.grid_points, refine=True)  # its own hbar^2/(2 mu h^2), ahead of the cache
+    result = _solve_unit_free(_unit_free(rp), k)
+    kinetic = rp.units.kinetic
+    eigenvalues = tuple(kinetic * ev for ev in result.eigenvalues)
+    if not all(-math.inf < ev < 0.0 for ev in eigenvalues):
+        raise NumericalInstabilityError(
+            f"a level times hbar^2/(2 mu) = {kinetic:.6g} leaves the float range")
+    return replace(result, eigenvalues=eigenvalues)
+
+
 def eigenfunction_nodes(rp: RadialProblem, k: int) -> list[int]:
     """Interior sign-change counts of the k lowest eigenfunctions."""
     if k < 1:
@@ -240,11 +297,10 @@ def eigenfunction_nodes(rp: RadialProblem, k: int) -> list[int]:
     import numpy as np
     from scipy.linalg import eigh_tridiagonal
 
-    [(diag, off)] = _grid(rp, rp.grid_points, refine=False)
+    # node counts do not depend on the energy scale: the unit-free matrix serves
+    [(diag, off)] = _grid(_unit_free(rp), rp.grid_points, refine=False)
     # stebz bisection for values + stein inverse iteration for vectors
-    _, vecs = eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, k - 1), tol=_BISECT_TOL, lapack_driver="stebz"
-    )
+    _, vecs = _stebz(eigh_tridiagonal, diag, off, select="i", select_range=(0, k - 1))
     counts = []
     for i in range(vecs.shape[1]):
         v = vecs[:, i]

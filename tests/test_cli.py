@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import mrspec
+import mrspec.cli
 from mrspec import (
     EXACT,
     GREENE_ALDRICH,
@@ -342,6 +343,21 @@ def test_table_with_oracle_columns():
             assert ga == pytest.approx(analytic, abs=1e-6), (mol, a)
 
 
+def test_table_with_oracle_solves_each_problem_once_for_both_molecules(monkeypatch):
+    # HCl and CH share every problem but its units: 3 alphas x 2 schemes, one channel
+    sizes = []
+    real = mrspec.oracle.build_effective_potential
+
+    def recording(rp, r):
+        sizes.append(len(r))
+        return real(rp, r)
+
+    monkeypatch.setattr(mrspec.oracle, "build_effective_potential", recording)
+    argv = ["table", "table2", "--with-oracle", "--states", "3p", "--inv-b", "0.025"]
+    assert mrspec.cli.main(argv) == 0
+    assert len(sizes) == 6
+
+
 def test_table_with_oracle_marks_unconverged_cells():
     # a coarse grid leaves most oracle levels unconverged; none prints as a number
     cp = run_cli("table", "table1", "--states", "2p,3d", "--inv-b", "0.025,0.05",
@@ -448,9 +464,11 @@ def test_failure_after_parsing_writes_no_partial_table(tmp_path: Path):
 
 
 def test_numerical_failure_prints_only_the_error_line():
-    # numpy floating-point warnings must not reach stderr ahead of the error
-    for args in (("compare", "--alpha", "0.75", "--b", "1e-153", "--A", "5", "--states", "2p"),
-                 *NON_FINITE_FIGURES):
+    # numpy floating-point warnings must not reach stderr ahead of the error;
+    # at b from about 1e-80 down LAPACK's bisection fails on the grid Hamiltonian
+    tiny_b = [("compare", "--alpha", "0.75", "--b", b, "--A", "5", "--states", "2p")
+              for b in ("1e-80", "1e-100", "1e-151", "1e-153")]
+    for args in (*tiny_b, *NON_FINITE_FIGURES):
         cp = run_cli(*args)
         assert cp.returncode == 2, args
         assert cp.stdout == "", args

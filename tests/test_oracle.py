@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -10,16 +11,19 @@ from mrspec import (
     CentrifugalScheme,
     DomainError,
     Level,
+    NumericalInstabilityError,
     NumericalSpectrum,
     PotentialParams,
     QuantumState,
     RadialProblem,
+    UnitSystem,
     atomic_units,
     build_effective_potential,
     default_problem,
     eigenfunction_nodes,
     energy,
     levels,
+    molecular_units,
     mr_value,
     solve,
 )
@@ -223,16 +227,18 @@ def test_value_window_gives_the_index_search_levels(scheme):
         b = 1.0 / inv_b
         p = PotentialParams(A=2.0 * b, alpha=alpha, b=b)
         rp = default_problem(p, U, l, scheme, grid_points=1000, n_max=n_max)
+        free = oracle._unit_free(rp)  # the matrices a solve bisects
         k = n_max + 1
         pair = []
         for m in (rp.grid_points, 2 * rp.grid_points + 1):
-            [(diag, off)] = _grid(rp, m, refine=False)
-            pair.append(_lowest_eigenvalues(diag, off, k, _ceiling(rp, k)))
+            [(diag, off)] = _grid(free, m, refine=False)
+            pair.append(_lowest_eigenvalues(diag, off, k, _ceiling(free, k)))
             np.testing.assert_allclose(pair[-1], _index_search(diag, off, k),
                                        rtol=0, atol=2 * _BISECT_TOL)
         # the M-point grid of a solve is every second node of its fine grid,
-        # so both match two independent builds to the bit
-        assert solve(rp, k) == _richardson(*pair, k)
+        # so both match two independent builds to the bit, and hbar^2/(2 mu)
+        # = 1/2 scales the unit-free levels exactly
+        assert solve(rp, k) == _richardson(*(U.kinetic * e for e in pair), k)
 
 
 def test_fallback_cases_give_the_index_search_levels(monkeypatch):
@@ -248,10 +254,11 @@ def test_fallback_cases_give_the_index_search_levels(monkeypatch):
     huge_a = default_problem(PotentialParams(A=1e300, alpha=0.75, b=40.0), U, 1,
                              GREENE_ALDRICH, grid_points=4000, n_max=1)
     for rp, k, path in ((shortfall, 5, ["i"]), (hydrogen, 2, ["v", "i"]), (huge_a, 2, ["i"])):
+        free = oracle._unit_free(rp)
         for m in (rp.grid_points, 2 * rp.grid_points + 1):
-            [(diag, off)] = _grid(rp, m, refine=False)
+            [(diag, off)] = _grid(free, m, refine=False)
             selects.clear()
-            got = _lowest_eigenvalues(diag, off, k, _ceiling(rp, k))
+            got = _lowest_eigenvalues(diag, off, k, _ceiling(free, k))
             assert selects == path
             np.testing.assert_allclose(got, _index_search(diag, off, k), rtol=0,
                                        atol=2 * _BISECT_TOL)
@@ -281,3 +288,40 @@ def test_effective_potential_is_built_once_per_solve(monkeypatch):
     assert sizes == [2001]  # the fine nodes only
     eigenfunction_nodes(rp, 2)
     assert sizes == [2001, 1000]
+
+
+def test_molecular_solve_is_kinetic_times_the_unit_free_solve():
+    rp = default_problem(P075, molecular_units("CO"), 1, EXACT, grid_points=4000, n_max=2)
+    free = solve(dataclasses.replace(rp, units=UnitSystem(hbar=1.0, mu=0.5)), 3)
+    got = solve(rp, 3)
+    assert got.eigenvalues == tuple(rp.units.kinetic * e for e in free.eigenvalues)
+    assert (got.converged, got.requested) == (free.converged, free.requested)
+
+
+def test_unit_systems_share_one_cached_solve():
+    rp = default_problem(P075, U, 1, GREENE_ALDRICH, grid_points=1000, n_max=1)
+    for units in (U, molecular_units("HCl"), molecular_units("CH")):
+        solve(dataclasses.replace(rp, units=units), 2)
+    info = oracle._solve_unit_free.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_problems_that_differ_beyond_their_units_do_not_share_a_solve():
+    shifted = CentrifugalScheme("shifted", 1.0 / 12.0)
+    rp = default_problem(P075, U, 1, shifted, grid_points=1000, n_max=1)
+    variants = [(rp, 2), (rp, 3), (dataclasses.replace(rp, grid_points=1001), 2),
+                (dataclasses.replace(rp, scheme=CentrifugalScheme("shifted", -0.5)), 2)]
+    results = [solve(problem, k) for problem, k in variants]
+    info = oracle._solve_unit_free.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (4, 0, 4)
+    assert len({r.eigenvalues[0] for r in results}) == 4
+
+
+@pytest.mark.parametrize("b", [1e-80, 1e-100, 1e-151, 1.4e-152, 2e-152])
+def test_a_tiny_screening_length_is_a_compute_error(b):
+    # the matrix entries approach the float limit: LAPACK's bisection fails
+    # (b from about 1e-80 down), U overflows (1.4e-152), or U + 2 hbar^2/(2 mu h^2)
+    # does (2e-152)
+    rp = default_problem(PotentialParams(A=5.0, alpha=0.75, b=b), U, 1, GREENE_ALDRICH, n_max=0)
+    with pytest.raises(NumericalInstabilityError):
+        solve(rp, 1)

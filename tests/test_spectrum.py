@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from mrspec import (
@@ -110,6 +111,23 @@ def test_critical_coupling_zeroes_energy():
             assert not is_bound(p, s)
             assert is_bound(PotentialParams(A=ac + 1e-9, alpha=alpha, b=40.0), s)
             assert not is_bound(PotentialParams(A=ac - 1e-9, alpha=alpha, b=40.0), s)
+
+
+@pytest.mark.parametrize("inv_b, alpha, n, l", [
+    (0.05254961735252076, 1.8443786472852643, 3, 2),  # epsilon = 9.4e-6
+    (0.07983463498043733, 1.109171266570088, 1, 3),  # epsilon = 1.6e-6
+])
+def test_near_threshold_epsilon_matches_high_precision(inv_b, alpha, n, l):
+    # two levels of the closed_form benchmark at seed 102; A - A_c cancels to
+    # a few ulp of A, and the quotient keeps that absolute error
+    b = 1.0 / inv_b
+    A = 2.0 * b
+    eps = epsilon_of(PotentialParams(A=A, alpha=alpha, b=b), QuantumState(n=n, l=l))
+    with mpmath.workdps(50):
+        lam = (mpmath.sqrt((1 - 2 * mpmath.mpf(alpha)) ** 2 + 4 * l * (l + 1)) - 1) / 2
+        exact = (A - (n + 1) ** 2 - l * (l + 1) - (2 * n + 1) * lam) / (2 * (n + 1 + lam))
+        denominator = float(2 * (n + 1 + lam))
+    assert abs(eps - float(exact)) <= 2.0 * math.ulp(A) / denominator
 
 
 def test_critical_coupling_closed_form():
