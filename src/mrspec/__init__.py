@@ -20,7 +20,6 @@ from .oracle import (
     RadialProblem,
     build_effective_potential,
     default_problem,
-    eigenfunction_nodes,
     levels,
     solve,
 )
@@ -28,17 +27,14 @@ from .potential import (
     EXACT,
     GREENE_ALDRICH,
     SHIFTED,
-    CDForm,
     CentrifugalScheme,
     PotentialParams,
     centrifugal_term,
     force_constant,
     minimum,
     mr_value,
-    mr_value_cd,
 )
 from .spectrum import (
-    NUSolution,
     QuantumState,
     coulomb_energy,
     critical_coupling,
@@ -48,13 +44,11 @@ from .spectrum import (
     hulthen_energy,
     is_bound,
     nu_parameters,
-    solve_state,
 )
 from .units import (
     Molecule,
     UnitSystem,
     atomic_units,
-    electron_units,
     ev_pm_units,
     get_molecule,
     molecular_units,
@@ -77,15 +71,13 @@ __all__ = [
     "ConfigurationError", "DomainError", "MrspecError",
     "NoBoundStateError", "NumericalInstabilityError", "UnknownMoleculeError",
     "Level", "NumericalSpectrum", "RadialProblem",
-    "build_effective_potential", "default_problem",
-    "eigenfunction_nodes", "levels", "solve",
-    "EXACT", "GREENE_ALDRICH", "SHIFTED", "CDForm", "CentrifugalScheme",
-    "PotentialParams", "centrifugal_term", "force_constant", "minimum",
-    "mr_value", "mr_value_cd",
-    "NUSolution", "QuantumState", "coulomb_energy", "critical_coupling",
+    "build_effective_potential", "default_problem", "levels", "solve",
+    "EXACT", "GREENE_ALDRICH", "SHIFTED", "CentrifugalScheme",
+    "PotentialParams", "centrifugal_term", "force_constant", "minimum", "mr_value",
+    "QuantumState", "coulomb_energy", "critical_coupling",
     "energy", "enumerate_bound_states", "epsilon_of", "hulthen_energy",
-    "is_bound", "nu_parameters", "solve_state",
-    "Molecule", "UnitSystem", "atomic_units", "electron_units", "ev_pm_units",
+    "is_bound", "nu_parameters",
+    "Molecule", "UnitSystem", "atomic_units", "ev_pm_units",
     "get_molecule", "molecular_units", "molecule_registry", "parse_registry_file",
     "RadialWavefunction", "build_radial_wavefunction", "hulthen_wavefunction",
     "hyp_integral", "jacobi", "normalization_constant", "radial_value",

@@ -412,5 +412,10 @@ def main(argv=None) -> int:
     except MrspecError as exc:
         sys.stderr.write(f"mrspec: error: {exc}\n")
         return EXIT_COMPUTE
+    except MemoryError as exc:
+        # numpy raises it, before touching memory, for an array that cannot be
+        # mapped at all (--points 10**14 asks for 728 TiB)
+        sys.stderr.write(f"mrspec: error: out of memory: {exc}\n")
+        return EXIT_COMPUTE
     except BrokenPipeError:
         return EXIT_OK

@@ -85,24 +85,23 @@ def default_problem(
     l: int,
     scheme: CentrifugalScheme,
     grid_points: int = 20000,
-    n_max: int | None = None,
+    *,
+    n_max: int,
 ) -> RadialProblem:
     """Problem with the standard grid: r in [1e-6 b, max(60 b / eps, 40 b)].
 
     The tail length scales with the decay constant of the shallowest level
-    the caller wants (analytic epsilon at n = n_max); by default it covers
-    every bound level at this l, which near a threshold can demand an
-    enormous box, so callers that only need the lowest few levels should
-    pass n_max. Without any bound level a unit decay constant is assumed.
+    the caller wants: the analytic epsilon of the last bound level with
+    n <= n_max. Without any bound level a unit decay constant is assumed.
     """
+    if n_max < 0:
+        raise DomainError(f"n_max must be non-negative, got {n_max}")
     eps_est = None
-    n = 0
-    while n_max is None or n <= n_max:
+    for n in range(n_max + 1):
         eps = _raw_epsilon(params, QuantumState(n=n, l=l))
         if eps <= 0.0:
             break
         eps_est = eps
-        n += 1
     if eps_est is None:
         eps_est = 1.0
     b = params.b
@@ -147,14 +146,13 @@ class NumericalSpectrum:
         return self.requested - len(self.eigenvalues)
 
 
-def _couplings(rp: RadialProblem, m: int, refine: bool) -> tuple[float, list[tuple[int, float]]]:
-    """Step h of the finest grid, and the stride (in steps h) and kinetic
-    coupling hbar^2/(2 mu stride^2 h^2) of the m-point grid and, with refine,
-    of the (2m+1)-point one, coarse first."""
-    strides = (2, 1) if refine else (1,)
-    h = (rp.r_max - rp.r_min) / (m + 1) / strides[0]
+def _couplings(rp: RadialProblem, m: int) -> tuple[float, list[tuple[int, float]]]:
+    """Step h of the (2m+1)-point grid, and the stride (in steps h) and kinetic
+    coupling hbar^2/(2 mu stride^2 h^2) of the m-point grid and of the
+    (2m+1)-point one, coarse first."""
+    h = (rp.r_max - rp.r_min) / (m + 1) / 2
     grids = []
-    for stride in strides:
+    for stride in (2, 1):
         step = stride * h
         kin = rp.units.kinetic / (step * step) if step * step > 0 else math.inf
         if not (0 < kin < math.inf):
@@ -164,17 +162,17 @@ def _couplings(rp: RadialProblem, m: int, refine: bool) -> tuple[float, list[tup
     return h, grids
 
 
-def _grid(rp: RadialProblem, m: int, refine: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+def _grid(rp: RadialProblem, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Diagonal and off-diagonal of the m-point finite-difference Hamiltonian
-    and, with refine, of the (2m+1)-point one on half its step, coarse first.
+    and of the (2m+1)-point one on half its step, coarse first.
 
     Halving the step is exact, so each m-point node is the same float as every
     second fine node: U is evaluated once, on the finest nodes.
     """
     import numpy as np
 
-    h, grids = _couplings(rp, m, refine)
-    U = build_effective_potential(rp, rp.r_min + h * np.arange(1, grids[0][0] * (m + 1)))
+    h, grids = _couplings(rp, m)
+    U = build_effective_potential(rp, rp.r_min + h * np.arange(1, 2 * (m + 1)))
     matrices = []
     for stride, kin in grids:
         with np.errstate(over="ignore"):
@@ -214,22 +212,20 @@ def _ceiling(rp: RadialProblem, k: int) -> float | None:
     return min(0.0, hi) if math.isfinite(hi) else None
 
 
-def _stebz(eigensolver, diag: np.ndarray, off: np.ndarray, **select):
-    """eigensolver(diag, off, **select) by LAPACK bisection at `_BISECT_TOL`;
+def _stebz(diag: np.ndarray, off: np.ndarray, **select):
+    """eigvalsh_tridiagonal(diag, off, **select) by LAPACK bisection at `_BISECT_TOL`;
     a LAPACK failure (entries near the float limit) is a compute error."""
-    from scipy.linalg import LinAlgError
+    # scipy.linalg costs more than the rest of the package to import, so only
+    # an actual solve pays for it; the closed-form paths never load it.
+    from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
 
     try:
-        return eigensolver(diag, off, tol=_BISECT_TOL, lapack_driver="stebz", **select)
+        return eigvalsh_tridiagonal(diag, off, tol=_BISECT_TOL, lapack_driver="stebz", **select)
     except LinAlgError as exc:
         raise NumericalInstabilityError(f"the grid eigensolver failed: {exc}") from None
 
 
 def _lowest_eigenvalues(diag: np.ndarray, off: np.ndarray, k: int, ceiling: float | None):
-    # scipy.linalg costs more than the rest of the package to import, so only
-    # an actual solve pays for it; the closed-form paths never load it.
-    from scipy.linalg import eigvalsh_tridiagonal
-
     # the Gershgorin floor, a few ulps low for its rounding: no eigenvalue lies below it
     kin, floor = -float(off[0]), float(diag.min())
     lo = floor - 2.0 * kin - 4.0 * math.ulp(max(abs(floor), 2.0 * kin))
@@ -237,10 +233,10 @@ def _lowest_eigenvalues(diag: np.ndarray, off: np.ndarray, k: int, ceiling: floa
         # a value window spares stebz the search for the k-th index over the
         # whole Gershgorin interval; as nothing lies below the window, its
         # first k eigenvalues are the k lowest
-        found = _stebz(eigvalsh_tridiagonal, diag, off, select="v", select_range=(lo, ceiling))
+        found = _stebz(diag, off, select="v", select_range=(lo, ceiling))
         if len(found) >= k:
             return found[:k]
-    return _stebz(eigvalsh_tridiagonal, diag, off, select="i", select_range=(0, k - 1))
+    return _stebz(diag, off, select="i", select_range=(0, k - 1))
 
 
 def _unit_free(rp: RadialProblem) -> RadialProblem:
@@ -253,7 +249,7 @@ def _solve_unit_free(rp: RadialProblem, k: int) -> NumericalSpectrum:
     """`solve` for a problem with hbar^2/(2 mu) = 1; energies in 1/length^2."""
     ceiling = _ceiling(rp, k)
     coarse, fine = (_lowest_eigenvalues(diag, off, k, ceiling)
-                    for diag, off in _grid(rp, rp.grid_points, refine=True))
+                    for diag, off in _grid(rp, rp.grid_points))
     extrapolated = (4.0 * fine - coarse) / 3.0
     err_est = abs(fine - coarse) / 3.0
     eigenvalues = []
@@ -280,7 +276,7 @@ def solve(rp: RadialProblem, k: int) -> NumericalSpectrum:
         raise DomainError(f"k must be >= 1, got {k}")
     if k > rp.grid_points:
         raise DomainError(f"cannot extract {k} levels from {rp.grid_points} grid points")
-    _couplings(rp, rp.grid_points, refine=True)  # its own hbar^2/(2 mu h^2), ahead of the cache
+    _couplings(rp, rp.grid_points)  # its own hbar^2/(2 mu h^2), ahead of the cache
     result = _solve_unit_free(_unit_free(rp), k)
     kinetic = rp.units.kinetic
     eigenvalues = tuple(kinetic * ev for ev in result.eigenvalues)
@@ -288,27 +284,6 @@ def solve(rp: RadialProblem, k: int) -> NumericalSpectrum:
         raise NumericalInstabilityError(
             f"a level times hbar^2/(2 mu) = {kinetic:.6g} leaves the float range")
     return replace(result, eigenvalues=eigenvalues)
-
-
-def eigenfunction_nodes(rp: RadialProblem, k: int) -> list[int]:
-    """Interior sign-change counts of the k lowest eigenfunctions."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    import numpy as np
-    from scipy.linalg import eigh_tridiagonal
-
-    # node counts do not depend on the energy scale: the unit-free matrix serves
-    [(diag, off)] = _grid(_unit_free(rp), rp.grid_points, refine=False)
-    # stebz bisection for values + stein inverse iteration for vectors
-    _, vecs = _stebz(eigh_tridiagonal, diag, off, select="i", select_range=(0, k - 1))
-    counts = []
-    for i in range(vecs.shape[1]):
-        v = vecs[:, i]
-        # ignore the numerically dead tail so roundoff there cannot register
-        live = np.abs(v) > 1e-9 * np.max(np.abs(v))
-        w = v[live]
-        counts.append(int(np.sum(w[1:] * w[:-1] < 0.0)))
-    return counts
 
 
 class Level(NamedTuple):

@@ -1,6 +1,6 @@
 """Manning-Rosen potential, its analytic geometry, and centrifugal schemes.
 
-The potential in its two-parameter form is
+The potential is
 
     V(r) = (hbar^2 / 2 mu b^2) [ alpha(alpha-1) e^{-2r/b} / (1 - e^{-r/b})^2
                                  - A e^{-r/b} / (1 - e^{-r/b}) ]
@@ -39,18 +39,6 @@ class PotentialParams:
             raise DomainError("A and alpha must be finite")
         if not math.isfinite(self.alpha * (self.alpha - 1.0)):
             raise DomainError(f"alpha(alpha-1) overflows for alpha={self.alpha}")
-
-
-@dataclass(frozen=True)
-class CDForm:
-    """Equivalent (C, D) parameterization: C = A, D = -A - alpha(alpha-1)."""
-
-    C: float
-    D: float
-
-    @classmethod
-    def from_params(cls, p: PotentialParams) -> "CDForm":
-        return cls(C=p.A, D=-p.A - p.alpha * (p.alpha - 1.0))
 
 
 @dataclass(frozen=True)
@@ -116,19 +104,6 @@ def mr_value(p: PotentialParams, u: UnitSystem, r):
         z, bom = _exp_terms(arr, p.b)
         w = z / bom
         value = u.kinetic * w * (p.alpha * (p.alpha - 1.0) * w - p.A / p.b)
-    return _finite(arr, value, "the Manning-Rosen potential")
-
-
-def mr_value_cd(cd: CDForm, b: float, u: UnitSystem, r):
-    """Potential in CD form, -(hbar^2/2 mu b^2)(C z + D z^2)/(1-z)^2."""
-    import numpy as np
-
-    if not (b > 0):
-        raise DomainError(f"screening length must be positive, got {b}")
-    arr = _as_positive_r(r)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        z, bom = _exp_terms(arr, b)
-        value = -u.kinetic * (cd.C * z + cd.D * z * z) / (bom * bom)
     return _finite(arr, value, "the Manning-Rosen potential")
 
 

@@ -72,16 +72,6 @@ class QuantumState:
         return cls(n=n, l=l)
 
 
-@dataclass(frozen=True)
-class NUSolution:
-    """The derived quantities for one level: a, Lambda, epsilon, energy."""
-
-    a: float
-    Lambda: float
-    epsilon: float
-    energy: float
-
-
 def _lambda_of(alpha: float, l: int) -> float:
     one_minus_two_alpha = 1.0 - 2.0 * alpha
     a = math.sqrt(one_minus_two_alpha * one_minus_two_alpha + 4.0 * l * (l + 1))
@@ -124,13 +114,6 @@ def _level_energy(u: UnitSystem, b: float, eps: float) -> float:
 def energy(p: PotentialParams, u: UnitSystem, s: QuantumState) -> float:
     """Closed-form level energy -(hbar^2/2 mu b^2) epsilon^2 (<= 0 always)."""
     return _level_energy(u, p.b, _raw_epsilon(p, s))
-
-
-def solve_state(p: PotentialParams, u: UnitSystem, s: QuantumState) -> NUSolution:
-    """Bundle (a, Lambda, epsilon, energy) for a bound state."""
-    a, lam = nu_parameters(p, s)
-    eps = epsilon_of(p, s)
-    return NUSolution(a=a, Lambda=lam, epsilon=eps, energy=_level_energy(u, p.b, eps))
 
 
 def critical_coupling(s: QuantumState, alpha: float) -> float:

@@ -20,8 +20,6 @@ from .errors import ConfigurationError, DomainError, UnknownMoleculeError
 HBAR_C_EV_PM = 197329.0
 # 1 amu * c^2 in eV
 AMU_IN_EV = 931.494e6
-# electron mass * c^2 in eV
-ELECTRON_MASS_EV = 510998.95
 # fine-structure constant; e^2 = alpha * hbar * c in eV*pm systems
 FINE_STRUCTURE = 7.2973525693e-3
 
@@ -37,7 +35,6 @@ class UnitSystem:
     hbar: float
     mu: float
     e2: float = 1.0
-    label: str = "custom"
 
     def __post_init__(self):
         if not (self.hbar > 0):
@@ -70,16 +67,15 @@ class Molecule:
 
 def atomic_units() -> UnitSystem:
     """hbar = mu = 1; energies in hartree, lengths in bohr."""
-    return UnitSystem(hbar=1.0, mu=1.0, e2=1.0, label="atomic")
+    return UnitSystem(hbar=1.0, mu=1.0, e2=1.0)
 
 
-def ev_pm_units(mu_ev: float, label: str = "eV-pm") -> UnitSystem:
+def ev_pm_units(mu_ev: float) -> UnitSystem:
     """Energies in eV, lengths in pm; ``mu_ev`` is the reduced mass as mu*c^2."""
     return UnitSystem(
         hbar=HBAR_C_EV_PM,
         mu=mu_ev,
         e2=FINE_STRUCTURE * HBAR_C_EV_PM,
-        label=label,
     )
 
 
@@ -87,12 +83,7 @@ def molecular_units(mol: Molecule | str, registry: list[Molecule] | None = None)
     """eV/pm system for a molecule (by object or registry name)."""
     if isinstance(mol, str):
         mol = get_molecule(mol, registry)
-    return ev_pm_units(mol.reduced_mass_amu * AMU_IN_EV, label=f"eV-pm[{mol.name}]")
-
-
-def electron_units() -> UnitSystem:
-    """eV/pm system with the electron as the reduced mass (hydrogen-like problems)."""
-    return ev_pm_units(ELECTRON_MASS_EV, label="eV-pm[electron]")
+    return ev_pm_units(mol.reduced_mass_amu * AMU_IN_EV)
 
 
 _DEFAULT_MOLECULES = (

@@ -476,6 +476,21 @@ def test_numerical_failure_prints_only_the_error_line():
         assert len(lines) == 1 and lines[0].startswith("mrspec: error:"), (args, cp.stderr)
 
 
+@pytest.mark.parametrize("command", [
+    ("wavefunction", "--alpha", "0.75", "--inv-b", "0.025", "--state", "2p"),
+    ("figure-data", "fig1"),
+    ("figure-data", "fig2"),
+], ids=["wavefunction", "fig1", "fig2"])
+def test_a_grid_too_large_to_allocate_is_a_compute_error(command):
+    # 10**14 float64 samples are 728 TiB: numpy refuses the array at once,
+    # before any memory is touched
+    cp = run_cli(*command, "--points", str(10**14))
+    assert cp.returncode == 2, cp.stderr
+    assert cp.stdout == ""
+    lines = cp.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("mrspec: error:"), cp.stderr
+
+
 # Runs in a fresh interpreter: pytest's own process has numpy and scipy
 # loaded already. Every module must still load at `import mrspec.cli`, so
 # only the functions that build arrays import numpy.

@@ -20,7 +20,6 @@ from mrspec import (
     atomic_units,
     build_effective_potential,
     default_problem,
-    eigenfunction_nodes,
     energy,
     levels,
     molecular_units,
@@ -28,7 +27,7 @@ from mrspec import (
     solve,
 )
 from mrspec import oracle
-from mrspec.oracle import CONV_REL, _BISECT_TOL, _ceiling, _grid, _lowest_eigenvalues
+from mrspec.oracle import CONV_REL, _BISECT_TOL, _ceiling, _lowest_eigenvalues
 
 U = atomic_units()
 P075 = PotentialParams(A=80.0, alpha=0.75, b=40.0)
@@ -56,9 +55,16 @@ def test_default_problem_box_respects_n_max():
     # only the lowest levels are wanted
     p = PotentialParams(A=2.0 / 0.075, alpha=1.5, b=1.0 / 0.075)
     small = default_problem(p, U, 1, EXACT, n_max=2)
-    full = default_problem(p, U, 1, EXACT)
+    full = default_problem(p, U, 1, EXACT, n_max=3)
     assert small.r_max < 1000.0
     assert full.r_max > 50000.0
+    # levels above the last bound one leave the box as it is
+    assert default_problem(p, U, 1, EXACT, n_max=9) == full
+
+
+def test_default_problem_rejects_a_negative_n_max():
+    with pytest.raises(DomainError):
+        default_problem(P075, U, 1, GREENE_ALDRICH, n_max=-1)
 
 
 def test_effective_potential_composition():
@@ -96,7 +102,7 @@ def test_shortfall_when_levels_run_out():
     # alpha=0.75, 1/b=0.1, l=2 binds exactly two levels; asking for five
     # returns two and reports the gap
     p = PotentialParams(A=20.0, alpha=0.75, b=10.0)
-    rp = default_problem(p, U, 2, GREENE_ALDRICH)
+    rp = default_problem(p, U, 2, GREENE_ALDRICH, n_max=4)
     result = solve(rp, 5)
     assert len(result.eigenvalues) == 2
     assert result.requested == 5
@@ -105,7 +111,7 @@ def test_shortfall_when_levels_run_out():
 
 def test_no_bound_levels_at_all():
     p = PotentialParams(A=20.0, alpha=0.75, b=10.0)
-    rp = default_problem(p, U, 4, GREENE_ALDRICH)  # l=4 needs A > 24.98
+    rp = default_problem(p, U, 4, GREENE_ALDRICH, n_max=2)  # l=4 needs A > 24.98
     result = solve(rp, 3)
     assert result.eigenvalues == ()
     assert result.shortfall == 3
@@ -115,7 +121,7 @@ def test_convergence_flag_trips_on_bad_box():
     # the halo-state box from test_default_problem_box_respects_n_max is
     # genuinely under-resolved at the default grid; the flag must say so
     p = PotentialParams(A=2.0 / 0.075, alpha=1.5, b=1.0 / 0.075)
-    rp = default_problem(p, U, 1, GREENE_ALDRICH)
+    rp = default_problem(p, U, 1, GREENE_ALDRICH, n_max=3)
     result = solve(rp, 1)
     assert not result.converged[0]
 
@@ -148,13 +154,6 @@ def test_hydrogen_limit_self_test():
     assert result.converged[0]
 
 
-def test_node_counts_match_radial_quantum_number():
-    rp = default_problem(P075, U, 1, GREENE_ALDRICH, n_max=3, grid_points=4000)
-    assert eigenfunction_nodes(rp, 4) == [0, 1, 2, 3]
-    rp = default_problem(P075, U, 2, EXACT, n_max=2, grid_points=4000)
-    assert eigenfunction_nodes(rp, 3) == [0, 1, 2]
-
-
 @pytest.mark.parametrize("scheme", [GREENE_ALDRICH, EXACT], ids=lambda sc: sc.kind)
 def test_levels_match_one_direct_solve_per_l(scheme):
     labels = ("3p", "2p", "3d", "4f", "5p")
@@ -185,6 +184,14 @@ def test_levels_of_no_states_is_empty():
 def test_numerical_spectrum_shortfall_property():
     ns = NumericalSpectrum(eigenvalues=(-0.1,), converged=(True,), requested=3)
     assert ns.shortfall == 2
+
+
+def _matrix(rp, m):
+    # the m-point finite-difference Hamiltonian, built on its own
+    h = (rp.r_max - rp.r_min) / (m + 1)
+    kin = rp.units.kinetic / (h * h)
+    diag = 2.0 * kin + build_effective_potential(rp, rp.r_min + h * np.arange(1, m + 1))
+    return diag, np.full(m - 1, -kin)
 
 
 def _index_search(diag, off, k):
@@ -231,7 +238,7 @@ def test_value_window_gives_the_index_search_levels(scheme):
         k = n_max + 1
         pair = []
         for m in (rp.grid_points, 2 * rp.grid_points + 1):
-            [(diag, off)] = _grid(free, m, refine=False)
+            diag, off = _matrix(free, m)
             pair.append(_lowest_eigenvalues(diag, off, k, _ceiling(free, k)))
             np.testing.assert_allclose(pair[-1], _index_search(diag, off, k),
                                        rtol=0, atol=2 * _BISECT_TOL)
@@ -245,7 +252,7 @@ def test_fallback_cases_give_the_index_search_levels(monkeypatch):
     selects = _record_selects(monkeypatch)
     # 5 requested, 2 bound: the closed form has no ceiling for level 4
     shortfall = default_problem(PotentialParams(A=20.0, alpha=0.75, b=10.0), U, 2,
-                                GREENE_ALDRICH)
+                                GREENE_ALDRICH, n_max=4)
     # a hand-built box too small for 2s pushes it above the window
     b = 1.0e7
     hydrogen = RadialProblem(params=PotentialParams(A=2.0 * b, alpha=0.0, b=b), units=U,
@@ -256,7 +263,7 @@ def test_fallback_cases_give_the_index_search_levels(monkeypatch):
     for rp, k, path in ((shortfall, 5, ["i"]), (hydrogen, 2, ["v", "i"]), (huge_a, 2, ["i"])):
         free = oracle._unit_free(rp)
         for m in (rp.grid_points, 2 * rp.grid_points + 1):
-            [(diag, off)] = _grid(free, m, refine=False)
+            diag, off = _matrix(free, m)
             selects.clear()
             got = _lowest_eigenvalues(diag, off, k, _ceiling(free, k))
             assert selects == path
@@ -270,7 +277,8 @@ def test_bound_levels_are_found_in_a_value_window(monkeypatch):
     assert selects == ["v", "v"]
     selects.clear()
     # 5 requested, 2 bound: only the index search can return all five
-    solve(default_problem(PotentialParams(A=20.0, alpha=0.75, b=10.0), U, 2, GREENE_ALDRICH), 5)
+    solve(default_problem(PotentialParams(A=20.0, alpha=0.75, b=10.0), U, 2, GREENE_ALDRICH,
+                          n_max=4), 5)
     assert selects == ["i", "i"]
 
 
@@ -286,8 +294,6 @@ def test_effective_potential_is_built_once_per_solve(monkeypatch):
     rp = default_problem(P075, U, 1, GREENE_ALDRICH, n_max=1, grid_points=1000)
     solve(rp, 2)
     assert sizes == [2001]  # the fine nodes only
-    eigenfunction_nodes(rp, 2)
-    assert sizes == [2001, 1000]
 
 
 def test_molecular_solve_is_kinetic_times_the_unit_free_solve():

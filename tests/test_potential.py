@@ -7,7 +7,6 @@ from mrspec import (
     EXACT,
     GREENE_ALDRICH,
     SHIFTED,
-    CDForm,
     CentrifugalScheme,
     DomainError,
     NumericalInstabilityError,
@@ -20,7 +19,6 @@ from mrspec import (
     minimum,
     molecular_units,
     mr_value,
-    mr_value_cd,
 )
 
 U = atomic_units()
@@ -67,8 +65,6 @@ def test_non_finite_values_raise():
         for rr in (r, 1e-10):
             with pytest.raises(NumericalInstabilityError):
                 mr_value(p, U, rr)
-            with pytest.raises(NumericalInstabilityError):
-                mr_value_cd(CDForm.from_params(p), p.b, U, rr)
     for scheme in (EXACT, GREENE_ALDRICH, SHIFTED):
         with pytest.raises(NumericalInstabilityError):
             centrifugal_term(scheme, 10.0, 1e-200)  # 1/r^2 overflows
@@ -98,27 +94,23 @@ def test_params_validation():
     # the evaluators that take a bare b check it themselves
     for b in (0.0, -1.0):
         with pytest.raises(DomainError):
-            mr_value_cd(CDForm(C=80.0, D=-80.0), b, U, 1.0)
-        with pytest.raises(DomainError):
             centrifugal_term(GREENE_ALDRICH, b, 1.0)
 
 
-def test_cd_form_mapping():
-    p = PotentialParams(A=80.0, alpha=1.5, b=40.0)
-    cd = CDForm.from_params(p)
-    assert cd.C == 80.0
-    assert cd.D == -80.0 - 1.5 * 0.5
+def cd_form_value(p, r):
+    # the (C, D) form -(hbar^2/2 mu b^2)(C z + D z^2)/(1-z)^2 with C = A and
+    # D = -A - alpha(alpha-1), z = e^{-r/b}
+    C, D = p.A, -p.A - p.alpha * (p.alpha - 1.0)
+    z, one_minus_z = np.exp(-r / p.b), -np.expm1(-r / p.b)
+    return -U.kinetic / (p.b * p.b) * (C * z + D * z * z) / one_minus_z**2
 
 
 def test_cd_form_value_identity():
     # -(C z + D z^2)/(1-z)^2 is the same function as the defining form
     for alpha in (0.3, 0.75, 1.0, 1.5, -0.5):
         p = PotentialParams(A=80.0, alpha=alpha, b=40.0)
-        cd = CDForm.from_params(p)
         r = np.linspace(0.05, 300.0, 400)
-        np.testing.assert_allclose(
-            mr_value_cd(cd, p.b, U, r), mr_value(p, U, r), rtol=1e-12, atol=1e-18
-        )
+        np.testing.assert_allclose(cd_form_value(p, r), mr_value(p, U, r), rtol=1e-12, atol=1e-18)
 
 
 def test_alpha_reflection_leaves_potential_invariant():

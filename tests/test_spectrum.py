@@ -19,7 +19,6 @@ from mrspec import (
     is_bound,
     molecular_units,
     nu_parameters,
-    solve_state,
 )
 
 U = atomic_units()
@@ -146,19 +145,17 @@ def test_epsilon_raises_for_unbound():
     s = QuantumState.from_label("5g")
     with pytest.raises(NoBoundStateError):
         epsilon_of(p, s)
-    with pytest.raises(NoBoundStateError):
-        solve_state(p, U, s)
     # the formula value itself stays defined and non-positive
     assert energy(p, U, s) <= 0.0
 
 
-def test_solve_state_consistency():
+def test_energy_epsilon_and_lambda_relations():
     p = PotentialParams(A=80.0, alpha=1.5, b=40.0)
     s = QuantumState.from_label("4f")
-    sol = solve_state(p, U, s)
-    assert sol.energy == pytest.approx(-U.kinetic * (sol.epsilon / 40.0) ** 2, rel=1e-15)
-    assert sol.Lambda == pytest.approx((sol.a - 1.0) / 2.0, rel=1e-15)
-    assert sol.energy == energy(p, U, s)
+    a, lam = nu_parameters(p, s)
+    assert energy(p, U, s) == pytest.approx(-U.kinetic * (epsilon_of(p, s) / 40.0) ** 2,
+                                            rel=1e-15)
+    assert lam == pytest.approx((a - 1.0) / 2.0, rel=1e-15)
 
 
 # epsilon from moderate to one whose square overflows a float
@@ -175,12 +172,9 @@ def test_energy_is_finite_or_raises(eps):
     expected = -U.kinetic / (b * b) * eps * eps
     if math.isfinite(expected):
         assert energy(p, U, s) == pytest.approx(expected, rel=1e-9)
-        assert solve_state(p, U, s).energy == energy(p, U, s)
     else:
         with pytest.raises(NumericalInstabilityError):
             energy(p, U, s)
-        with pytest.raises(NumericalInstabilityError):
-            solve_state(p, U, s)
         with pytest.raises(NumericalInstabilityError):
             hulthen_energy(p.A, b, U, s)
 

@@ -9,7 +9,6 @@ from mrspec import (
     UnitSystem,
     UnknownMoleculeError,
     atomic_units,
-    electron_units,
     ev_pm_units,
     get_molecule,
     molecular_units,
@@ -54,19 +53,19 @@ def test_molecular_energy_scales_frozen():
 
 def test_ev_pm_units_bookkeeping():
     # the c=1 convention stores hbar*c in hbar and mu*c^2 in mu
-    u = ev_pm_units(1.0e6, label="test")
+    u = ev_pm_units(1.0e6)
     assert u.hbar == HBAR_C_EV_PM
     assert u.mu == 1.0e6
     assert u.e2 == pytest.approx(FINE_STRUCTURE * HBAR_C_EV_PM, rel=1e-15)
-    assert u.label == "test"
 
 
 def test_electron_units_rydberg():
-    # Coulomb ground state must come out at the hydrogen binding energy;
-    # alpha^2 m_e c^2 / 2, independent of the hbar*c value
+    # Coulomb ground state in eV-pm units with the electron mass must come
+    # out at the hydrogen binding energy; alpha^2 m_e c^2 / 2, independent of
+    # the hbar*c value
     from mrspec import QuantumState, coulomb_energy
 
-    e = coulomb_energy(1.0, electron_units(), QuantumState.from_label("1s"))
+    e = coulomb_energy(1.0, ev_pm_units(510998.95), QuantumState.from_label("1s"))
     expected = -(FINE_STRUCTURE**2) * 510998.95 / 2.0
     assert e == pytest.approx(expected, rel=1e-12)
     assert e == pytest.approx(-13.6057, abs=5e-5)
@@ -103,9 +102,8 @@ def test_get_molecule_unknown():
 
 
 def test_molecular_units_label_and_mass():
-    u = molecular_units("CO")
+    u = molecular_units("CO")  # looked up by its registry label
     assert u.mu == pytest.approx(6.8606719 * AMU_IN_EV, rel=1e-15)
-    assert "CO" in u.label
 
 
 def test_parse_registry_file(tmp_path):
